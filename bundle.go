@@ -33,14 +33,19 @@ import (
 //
 // Layout:
 //
-//	<dir>/MANIFEST.json   format, backend kind, file inventory
+//	<dir>/MANIFEST.json   format, store layout (backend kind and
+//	                      geometry), file inventory
 //	<dir>/catalog.db      metadb snapshot (the MySQL stand-in's dump)
 //	<dir>/wal.log         write-ahead log; present only mid-save or
 //	                      after a crash, consumed by recovery
-//	<dir>/data/...        file bytes, under a store backend:
+//	<dir>/data/...        file bytes, under a local store backend:
 //	                      "dir" = one host file per simulated file;
 //	                      "cas" = SHA-256-chunked content-addressed
 //	                      pool with dedup and optional compression
+//
+// An "obj" bundle has no data/: its bytes live in a simulated remote
+// object store (process-global, in memory) named by the manifest's
+// endpoint, staged and uploaded with S3-like multipart semantics.
 //
 // Saves are crash-consistent: SaveBundle appends intent records (the
 // planned file set, staging names, content hashes, the catalog
@@ -100,11 +105,6 @@ type BundleOptions struct {
 	// driving the save/open path through torn writes, partial reads,
 	// and transient unavailability.
 	Faults *FaultConfig
-	// DisableWAL saves directly, without the write-ahead log (the
-	// pre-WAL behavior): faster, but a crash mid-save can corrupt the
-	// bundle. Only for benchmarking the WAL's overhead on ephemeral
-	// directories.
-	DisableWAL bool
 	// Metrics, when non-nil, counts the bundle's store-backend
 	// operations (namespace ops, errors, data-plane bytes) and WAL
 	// records into the registry under "bundle.*". On open, the metered
@@ -142,14 +142,10 @@ const (
 // bundleManifest is the bundle's self-description; its atomic rename
 // into place is the last step of a save's apply phase.
 type bundleManifest struct {
-	Format    int          `json:"format"`
-	CreatedAt string       `json:"created_at"`
-	Backend   string       `json:"backend"`
-	Compress  bool         `json:"compress,omitempty"`
-	ChunkSize int64        `json:"chunk_size,omitempty"`
-	Endpoint  string       `json:"endpoint,omitempty"`
-	PartSize  int64        `json:"part_size,omitempty"`
-	Files     []bundleFile `json:"files"`
+	Format    int    `json:"format"`
+	CreatedAt string `json:"created_at"`
+	store.BundleLayout
+	Files []bundleFile `json:"files"`
 }
 
 type bundleFile struct {
@@ -188,82 +184,58 @@ func bundleLock(dir string) *sync.Mutex {
 	return mu
 }
 
-// bundleSpec pins everything needed to rebuild a bundle's byte store:
-// the backend kind plus its kind-specific geometry. It travels in the
-// manifest and in the WAL's begin record, so open, GC, fsck, and crash
-// recovery all reconstruct the same store a save wrote through.
-type bundleSpec struct {
-	kind      string
-	compress  bool
-	chunkSize int64
-	endpoint  string
-	partSize  int64
-	cost      *objstore.CostModel
+// layout resolves the options' byte-store layout for a bundle in dir,
+// once per save or migration. The kind defaults to "dir"; only "obj"
+// keeps an endpoint and a part size, and an unset endpoint derives
+// from the bundle path ("sim://<abs dir>") — a pure function of the
+// path, so a save, a crash recovery, and a later open all dial the
+// same simulated remote.
+func (o *BundleOptions) layout(dir string) store.BundleLayout {
+	l := store.BundleLayout{Backend: o.Backend, Compress: o.Compress, ChunkSize: o.ChunkSize}
+	switch l.Backend {
+	case "":
+		l.Backend = "dir"
+	case "obj":
+		l.Endpoint, l.PartSize = o.Endpoint, o.PartSize
+		if l.Endpoint == "" {
+			if abs, err := filepath.Abs(dir); err == nil {
+				dir = abs
+			}
+			l.Endpoint = "sim://" + filepath.Clean(dir)
+		}
+	}
+	return l
 }
 
-func (o *BundleOptions) spec() bundleSpec {
-	return bundleSpec{
-		kind: o.Backend, compress: o.Compress, chunkSize: o.ChunkSize,
-		endpoint: o.Endpoint, partSize: o.PartSize, cost: o.ObjCost,
-	}
-}
-
-func (m *bundleManifest) spec() bundleSpec {
-	return bundleSpec{
-		kind: m.Backend, compress: m.Compress, chunkSize: m.ChunkSize,
-		endpoint: m.Endpoint, partSize: m.PartSize,
-	}
-}
-
-func beginSpec(r store.WALBeginRecord) bundleSpec {
-	return bundleSpec{
-		kind: r.Backend, compress: r.Compress, chunkSize: r.ChunkSize,
-		endpoint: r.Endpoint, partSize: r.PartSize,
-	}
-}
-
-// bundleEndpoint resolves an "obj" bundle's endpoint, deriving the
-// per-directory default when none was chosen. The derivation is a pure
-// function of the bundle path, so a save, a crash recovery, and a
-// later open all dial the same simulated remote.
-func bundleEndpoint(dir, endpoint string) string {
-	if endpoint != "" {
-		return endpoint
-	}
-	if abs, err := filepath.Abs(dir); err == nil {
-		dir = abs
-	}
-	return "sim://" + filepath.Clean(dir)
-}
-
-// bundleBackend constructs the byte store for a bundle directory,
-// wrapped in the requested fault-injection and retry decorators
-// (injection sits beneath retry, so retries mask injected faults).
-// For "obj" specs the returned Service is the simulated remote behind
-// the decorators — the hook for stats, metrics, and upload-session
-// sweeps; it is nil for local kinds.
-func bundleBackend(dir string, sp bundleSpec, faults *FaultConfig, retry *RetryPolicy) (store.Backend, *objstore.Service, error) {
+// bundleBackend constructs the byte store a layout describes for a
+// bundle directory, wrapped in the requested fault-injection and retry
+// decorators (injection sits beneath retry, so retries mask injected
+// faults). cost prices an "obj" remote on its first Dial. For "obj"
+// layouts the returned Service is the simulated remote behind the
+// decorators — the hook for stats, metrics, and upload-session sweeps;
+// it is nil for local kinds.
+func bundleBackend(dir string, l store.BundleLayout, cost *ObjStoreCost, faults *FaultConfig, retry *RetryPolicy) (store.Backend, *objstore.Service, error) {
 	dataDir := filepath.Join(dir, bundleDataDir)
 	var b store.Backend
 	var svc *objstore.Service
 	var err error
-	switch sp.kind {
+	switch l.Backend {
 	case "dir":
 		// Atomic writes: host-dir objects are staged in temp files and
 		// promoted by fsync + rename at Sync, so host-dir bundles are
 		// torn-write safe even outside the WAL path.
 		b, err = store.NewDirOpts(dataDir, store.DirOptions{AtomicWrites: true})
 	case "cas":
-		b, err = store.OpenCAS(dataDir, store.CASOptions{ChunkSize: sp.chunkSize, Compress: sp.compress})
+		b, err = store.OpenCAS(dataDir, store.CASOptions{ChunkSize: l.ChunkSize, Compress: l.Compress})
 	case "obj":
-		var cost objstore.CostModel
-		if sp.cost != nil {
-			cost = *sp.cost
+		var c objstore.CostModel
+		if cost != nil {
+			c = *cost
 		}
-		svc = objstore.DialCost(bundleEndpoint(dir, sp.endpoint), cost)
-		b = objstore.New(svc, objstore.Options{PartSize: sp.partSize, Retry: retry})
+		svc = objstore.DialCost(l.Endpoint, c)
+		b = objstore.New(svc, objstore.Options{PartSize: l.PartSize, Retry: retry})
 	default:
-		return nil, nil, fmt.Errorf("sdm: unknown bundle backend %q (want \"dir\", \"cas\", or \"obj\")", sp.kind)
+		return nil, nil, fmt.Errorf("sdm: unknown bundle backend %q (want \"dir\", \"cas\", or \"obj\")", l.Backend)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -346,11 +318,8 @@ func sha256hex(data []byte) string {
 // ---------------------------------------------------------------------------
 
 // saveBundle copies the cluster's catalog and file bytes into dir,
-// crash-consistently unless opts.DisableWAL.
+// crash-consistently.
 func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
-	if opts.Backend == "" {
-		opts.Backend = "dir"
-	}
 	mu := bundleLock(dir)
 	mu.Lock()
 	defer mu.Unlock()
@@ -362,7 +331,8 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 	if err := recoverBundleLocked(dir, nil); err != nil {
 		return fmt.Errorf("sdm: recovering interrupted save: %w", err)
 	}
-	b, svc, err := bundleBackend(dir, opts.spec(), opts.Faults, opts.Retry)
+	l := opts.layout(dir)
+	b, svc, err := bundleBackend(dir, l, opts.ObjCost, opts.Faults, opts.Retry)
 	if err != nil {
 		return err
 	}
@@ -381,39 +351,20 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 		return fmt.Errorf("sdm: listing cluster files: %w", err)
 	}
 	plan := make([]bundlePlanEntry, 0, len(names))
-	m := bundleManifest{
-		Format:    1,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Backend:   opts.Backend,
-		Compress:  opts.Compress,
-		ChunkSize: opts.ChunkSize,
-	}
-	if opts.Backend == "obj" {
-		m.Endpoint = bundleEndpoint(dir, opts.Endpoint)
-		m.PartSize = opts.PartSize
-	}
+	var files []bundleFile
 	for _, name := range names {
 		data, err := cl.FS.ReadFile(name)
 		if err != nil {
 			return fmt.Errorf("sdm: reading %q for bundle: %w", name, err)
 		}
 		plan = append(plan, bundlePlanEntry{name: name, data: data})
-		m.Files = append(m.Files, bundleFile{Name: name, Size: int64(len(data))})
+		files = append(files, bundleFile{Name: name, Size: int64(len(data))})
 	}
 	var catBuf bytes.Buffer
 	if err := cl.DB.Save(&catBuf); err != nil {
 		return fmt.Errorf("sdm: saving bundle catalog: %w", err)
 	}
-	manifestJSON, err := json.MarshalIndent(&m, "", " ")
-	if err != nil {
-		return err
-	}
-	manifestJSON = append(manifestJSON, '\n')
-
-	if opts.DisableWAL {
-		return saveDirect(dir, b, plan, catBuf.Bytes(), manifestJSON)
-	}
-	if err := writeBundleWAL(dir, b, plan, catBuf.Bytes(), manifestJSON, &opts); err != nil {
+	if err := writeBundleWAL(dir, b, l, files, plan, catBuf.Bytes(), &opts); err != nil {
 		return err
 	}
 	if r := opts.Metrics; r != nil {
@@ -422,15 +373,27 @@ func saveBundle(cl *Cluster, dir string, opts BundleOptions) error {
 	return nil
 }
 
-// writeBundleWAL runs the 3-phase crash-consistent commit of a bundle:
-// intents durable in the log before any data moves, all data staged
-// under scratch names, a sealed commit record, then the idempotent
-// apply. plan holds the files to (re)write; manifestJSON may name more
-// files than plan stages — an incremental commit (MigrateBundle's
-// delta) keeps the unchanged ones in place, protected from the apply
-// sweep by the manifest inventory. Shared verbatim by SaveBundle and
-// MigrateBundle so both get the same crash boundaries.
-func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catBytes, manifestJSON []byte, opts *BundleOptions) error {
+// writeBundleWAL runs the 3-phase crash-consistent commit of a bundle
+// with layout l and file inventory files: intents durable in the log
+// before any data moves, all data staged under scratch names, a sealed
+// commit record carrying the new manifest, then the idempotent apply.
+// plan holds the files to (re)write; files may name more than plan
+// stages — an incremental commit (MigrateBundle's delta) keeps the
+// unchanged ones in place, protected from the apply sweep by the
+// manifest inventory. Shared verbatim by SaveBundle and MigrateBundle
+// so both get the same format and crash boundaries.
+func writeBundleWAL(dir string, b store.Backend, l store.BundleLayout, files []bundleFile, plan []bundlePlanEntry, catBytes []byte, opts *BundleOptions) error {
+	manifestJSON, err := json.MarshalIndent(&bundleManifest{
+		Format:       1,
+		CreatedAt:    time.Now().UTC().Format(time.RFC3339),
+		BundleLayout: l,
+		Files:        files,
+	}, "", " ")
+	if err != nil {
+		return err
+	}
+	manifestJSON = append(manifestJSON, '\n')
+
 	// Intent phase: every record describing the new bundle is durable
 	// in the log before a single data byte moves.
 	w, err := store.CreateWAL(filepath.Join(dir, bundleWALName))
@@ -438,14 +401,7 @@ func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catByte
 		return err
 	}
 	defer w.Close()
-	beginRec := store.WALBeginRecord{
-		Format: 1, Backend: opts.Backend, Compress: opts.Compress, ChunkSize: opts.ChunkSize,
-	}
-	if opts.Backend == "obj" {
-		beginRec.Endpoint = bundleEndpoint(dir, opts.Endpoint)
-		beginRec.PartSize = opts.PartSize
-	}
-	if err := w.Append(store.WALBegin, beginRec); err != nil {
+	if err := w.Append(store.WALBegin, store.WALBeginRecord{Format: 1, BundleLayout: l}); err != nil {
 		return err
 	}
 	if err := opts.crash("wal-begin"); err != nil {
@@ -537,52 +493,6 @@ func writeBundleWAL(dir string, b store.Backend, plan []bundlePlanEntry, catByte
 type bundlePlanEntry struct {
 	name string
 	data []byte
-}
-
-// saveDirect is the WAL-less save (opts.DisableWAL): the pre-WAL
-// behavior kept for benchmarking the durability tax.
-func saveDirect(dir string, b store.Backend, plan []bundlePlanEntry, catBytes, manifestJSON []byte) error {
-	want := make(map[string]bool, len(plan))
-	for _, e := range plan {
-		// Replace any object a previous save left, so re-saving into
-		// one directory is incremental (cas reuses unchanged chunks).
-		if _, err := b.Stat(e.name); err == nil {
-			if err := b.Remove(e.name); err != nil {
-				return fmt.Errorf("sdm: replacing %q in bundle: %w", e.name, err)
-			}
-		}
-		obj, err := b.Create(e.name)
-		if err != nil {
-			return fmt.Errorf("sdm: storing %q in bundle: %w", e.name, err)
-		}
-		if len(e.data) > 0 {
-			if _, err := obj.WriteAt(e.data, 0); err != nil {
-				return fmt.Errorf("sdm: storing %q in bundle: %w", e.name, err)
-			}
-		}
-		want[e.name] = true
-	}
-	// Drop objects from a previous save that no longer exist.
-	existing, err := b.List()
-	if err != nil {
-		return fmt.Errorf("sdm: listing bundle contents: %w", err)
-	}
-	for _, name := range existing {
-		if !want[name] {
-			_ = b.Remove(name)
-		}
-	}
-	if err := b.Sync(); err != nil {
-		return fmt.Errorf("sdm: syncing bundle data: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, bundleCatalogName), catBytes, 0o644); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, bundleManifestName+".tmp")
-	if err := os.WriteFile(tmp, manifestJSON, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, bundleManifestName))
 }
 
 // ---------------------------------------------------------------------------
@@ -691,7 +601,7 @@ func applyWAL(dir string, b store.Backend, puts []store.WALPutRecord, catStage s
 // upload sessions — a crashed client's half-staged parts — since the
 // simulated remote outlives the process that died.
 func rollbackWAL(dir string, haveBegin bool, begin store.WALBeginRecord, catStage string) error {
-	sp := beginSpec(begin)
+	l := begin.BundleLayout
 	if !haveBegin {
 		// A log torn before its begin record survived names no backend,
 		// but the save may still have staged objects (the log could have
@@ -701,19 +611,21 @@ func rollbackWAL(dir string, haveBegin bool, begin store.WALBeginRecord, catStag
 		if raw, err := os.ReadFile(filepath.Join(dir, bundleManifestName)); err == nil {
 			var m bundleManifest
 			if json.Unmarshal(raw, &m) == nil && m.Backend != "" {
-				sp = m.spec()
+				l = m.BundleLayout
 			}
 		}
-		if sp.kind == "" {
+		if l.Backend == "" {
 			if _, err := os.Stat(filepath.Join(dir, bundleDataDir, "objects.json")); err == nil {
-				sp.kind = "cas"
+				l.Backend = "cas"
 			} else {
-				sp.kind = "dir"
+				l.Backend = "dir"
 			}
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, bundleDataDir)); err == nil || sp.kind == "obj" {
-		b, svc, err := bundleBackend(dir, sp, nil, nil)
+	// A remote layout (one with an endpoint) keeps no local data dir
+	// but may still hold staged objects.
+	if _, err := os.Stat(filepath.Join(dir, bundleDataDir)); err == nil || l.Endpoint != "" {
+		b, svc, err := bundleBackend(dir, l, nil, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -799,7 +711,7 @@ func recoverBundleLocked(dir string, rep *FsckReport) error {
 	if rep != nil {
 		rep.WALAction = "rolled-forward"
 	}
-	b, svc, err := bundleBackend(dir, beginSpec(begin), nil, nil)
+	b, svc, err := bundleBackend(dir, begin.BundleLayout, nil, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -857,7 +769,7 @@ func GCBundle(dir string) (store.GCStats, error) {
 	for _, f := range m.Files {
 		live[f.Name] = true
 	}
-	b, _, err := bundleBackend(dir, m.spec(), nil, nil)
+	b, _, err := bundleBackend(dir, m.BundleLayout, nil, nil, nil)
 	if err != nil {
 		return st, err
 	}
@@ -911,9 +823,7 @@ func openBundle(dir string, cfg ClusterConfig, opts BundleOptions) (*Cluster, er
 	if m.Format != 1 {
 		return nil, fmt.Errorf("sdm: unsupported bundle format %d", m.Format)
 	}
-	msp := m.spec()
-	msp.cost = opts.ObjCost
-	b, svc, err := bundleBackend(dir, msp, opts.Faults, opts.Retry)
+	b, svc, err := bundleBackend(dir, m.BundleLayout, opts.ObjCost, opts.Faults, opts.Retry)
 	if err != nil {
 		return nil, err
 	}

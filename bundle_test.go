@@ -55,7 +55,11 @@ func writeDemoRun(t *testing.T, cl *Cluster, globalN, steps int) {
 				for i, gi := range mapArr {
 					vals[i] = demoValue(ds, int64(ts), gi)
 				}
-				if err := g.WriteFloat64s(ds, int64(ts), vals); err != nil {
+				d, err := DatasetOf[float64](g, ds)
+				if err == nil {
+					err = d.PutAt(int64(ts), vals)
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -125,7 +129,11 @@ func TestBundleRoundTrip(t *testing.T) {
 				}
 				for ts := 0; ts < steps; ts++ {
 					for _, ds := range []string{"pressure", "velocity"} {
-						got, err := g.ReadFloat64s(ds, int64(ts), len(mapArr))
+						got := make([]float64, len(mapArr))
+						d, err := DatasetOf[float64](g, ds)
+						if err == nil {
+							err = d.GetAt(int64(ts), got)
+						}
 						if err != nil {
 							t.Errorf("read %s@%d: %v", ds, ts, err)
 							return
@@ -144,12 +152,17 @@ func TestBundleRoundTrip(t *testing.T) {
 				for i, gi := range mapArr {
 					extra[i] = demoValue("pressure", steps, gi)
 				}
-				if err := g.WriteFloat64s("pressure", int64(steps), extra); err != nil {
+				pressure, err := DatasetOf[float64](g, "pressure")
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := g.ReadFloat64s("pressure", 0, len(mapArr))
-				if err != nil {
+				if err := pressure.PutAt(int64(steps), extra); err != nil {
+					t.Error(err)
+					return
+				}
+				got := make([]float64, len(mapArr))
+				if err := pressure.GetAt(0, got); err != nil {
 					t.Error(err)
 					return
 				}
@@ -210,7 +223,11 @@ func TestBundleSubsetReopenNoClobber(t *testing.T) {
 		for i, gi := range mapArr {
 			vals[i] = demoValue("pressure", steps, gi)
 		}
-		if err := g.WriteFloat64s("pressure", steps, vals); err != nil {
+		d, err := DatasetOf[float64](g, "pressure")
+		if err == nil {
+			err = d.PutAt(steps, vals)
+		}
+		if err != nil {
 			t.Error(err)
 			return
 		}
@@ -242,7 +259,11 @@ func TestBundleSubsetReopenNoClobber(t *testing.T) {
 			return
 		}
 		check := func(ds string, ts int64) {
-			got, err := g.ReadFloat64s(ds, ts, len(mapArr))
+			got := make([]float64, len(mapArr))
+			d, err := DatasetOf[float64](g, ds)
+			if err == nil {
+				err = d.GetAt(ts, got)
+			}
 			if err != nil {
 				t.Errorf("read %s@%d: %v", ds, ts, err)
 				return
@@ -303,6 +324,16 @@ func TestBundleMixedGroupSubsetRead(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		a, err := DatasetOf[float64](g, "a")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		b, err := DatasetOf[float64](g, "b")
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		for ts := int64(0); ts < steps; ts++ {
 			va := make([]float64, len(mapA))
 			for i, gi := range mapA {
@@ -312,11 +343,11 @@ func TestBundleMixedGroupSubsetRead(t *testing.T) {
 			for i, gi := range mapB {
 				vb[i] = demoValue("velocity", ts, gi)
 			}
-			if err := g.WriteFloat64s("a", ts, va); err != nil {
+			if err := a.PutAt(ts, va); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := g.WriteFloat64s("b", ts, vb); err != nil {
+			if err := b.PutAt(ts, vb); err != nil {
 				t.Error(err)
 				return
 			}
@@ -351,7 +382,11 @@ func TestBundleMixedGroupSubsetRead(t *testing.T) {
 			return
 		}
 		for ts := int64(0); ts < steps; ts++ {
-			got, err := g.ReadFloat64s("b", ts, len(mapB))
+			got := make([]float64, len(mapB))
+			d, err := DatasetOf[float64](g, "b")
+			if err == nil {
+				err = d.GetAt(ts, got)
+			}
 			if err != nil {
 				t.Errorf("read b@%d: %v", ts, err)
 				return
@@ -396,7 +431,11 @@ func readDemoRun(t *testing.T, cl *Cluster, globalN, steps int) {
 		}
 		for ts := 0; ts < steps; ts++ {
 			for _, ds := range []string{"pressure", "velocity"} {
-				got, err := g.ReadFloat64s(ds, int64(ts), len(mapArr))
+				got := make([]float64, len(mapArr))
+				d, err := DatasetOf[float64](g, ds)
+				if err == nil {
+					err = d.GetAt(int64(ts), got)
+				}
 				if err != nil {
 					t.Errorf("read %s@%d: %v", ds, ts, err)
 					return

@@ -49,12 +49,17 @@ func TestClusterRoundTripThroughPublicAPI(t *testing.T) {
 		for i, gi := range m {
 			vals[i] = float64(gi) * 2
 		}
-		if err := g.WriteFloat64s("d", 5, vals); err != nil {
+		d, err := sdm.DatasetOf[float64](g, "d")
+		if err != nil {
 			t.Error(err)
 			return
 		}
-		got, err := g.ReadFloat64s("d", 5, len(m))
-		if err != nil {
+		if err := d.PutAt(5, vals); err != nil {
+			t.Error(err)
+			return
+		}
+		got := make([]float64, len(m))
+		if err := d.GetAt(5, got); err != nil {
 			t.Error(err)
 			return
 		}

@@ -646,13 +646,12 @@ func runAblations(nx, procs int, bl *benchLog) {
 }
 
 // runBundleBench prices crash consistency: the same fig6-populated
-// cluster is saved as a run bundle with the write-ahead log on (the
-// default, crash-consistent path) and off (the raw pre-WAL path), for
-// both storage backends. The save is host work, not simulated work, so
-// the cost is reported as wall time; the overhead column is the WAL's
-// durability tax.
+// cluster is saved as a run bundle through the write-ahead-logged save
+// path, for both local storage backends. The save is host work, not
+// simulated work, so the cost is reported as wall time beside the
+// bundle's on-disk size.
 func runBundleBench(nx, procs, steps int, bl *benchLog) {
-	fmt.Printf("\n=== Bundle: crash-consistent save cost (WAL on vs off) ===\n")
+	fmt.Printf("\n=== Bundle: crash-consistent save cost ===\n")
 	f := newFUN3D(nx)
 	cl := newCluster(sdm.Origin2000Config(procs))
 	if err := f.Stage(cl); err != nil {
@@ -679,52 +678,36 @@ func runBundleBench(nx, procs, steps int, bl *benchLog) {
 	defer os.RemoveAll(tmp)
 
 	w := table()
-	fmt.Fprintf(w, "backend\tWAL\tsave (ms)\tbundle (MB)\toverhead\n")
+	fmt.Fprintf(w, "backend\tsave (ms)\tbundle (MB)\n")
 	for _, backend := range []string{"dir", "cas"} {
-		times := map[bool]time.Duration{}
-		for _, wal := range []bool{false, true} {
-			var best time.Duration
-			var allocs uint64
-			var sizeMB float64
-			for rep := 0; rep < bundleBenchReps; rep++ {
-				dir := filepath.Join(tmp, fmt.Sprintf("%s-wal%v-%d", backend, wal, rep))
-				wall, a, err := measure(func() error {
-					return cl.SaveBundleOpts(dir, sdm.BundleOptions{Backend: backend, DisableWAL: !wal})
-				})
-				if err != nil {
-					log.Fatal(err)
-				}
-				if rep == 0 || wall < best {
-					best, allocs = wall, a
-				}
-				sizeMB = dirSizeMB(dir)
-			}
-			times[wal] = best
-			caseName := backend + "-nowal"
-			metrics := map[string]float64{"bundle-MB": sizeMB}
-			if wal {
-				caseName = backend + "-wal"
-				metrics["wal-overhead-pct"] = (float64(best)/float64(times[false]) - 1) * 100
-			}
-			bl.add(benchRecord{
-				Experiment: "bundle", Case: caseName, Workload: "fun3d",
-				Config: map[string]any{"nx": nx, "procs": procs, "steps": steps,
-					"backend": backend, "wal": wal},
-				SimMetrics: metrics,
-				WallNs:     best.Nanoseconds(), AllocsPerOp: allocs,
+		var best time.Duration
+		var allocs uint64
+		var sizeMB float64
+		for rep := 0; rep < bundleBenchReps; rep++ {
+			dir := filepath.Join(tmp, fmt.Sprintf("%s-%d", backend, rep))
+			wall, a, err := measure(func() error {
+				return cl.SaveBundleOpts(dir, sdm.BundleOptions{Backend: backend})
 			})
-			overhead := "-"
-			if wal {
-				overhead = fmt.Sprintf("%+.1f%%", metrics["wal-overhead-pct"])
+			if err != nil {
+				log.Fatal(err)
 			}
-			fmt.Fprintf(w, "%s\t%v\t%.1f\t%.1f\t%s\n",
-				backend, wal, float64(best.Nanoseconds())/1e6, sizeMB, overhead)
+			if rep == 0 || wall < best {
+				best, allocs = wall, a
+			}
+			sizeMB = dirSizeMB(dir)
 		}
+		bl.add(benchRecord{
+			Experiment: "bundle", Case: backend + "-wal", Workload: "fun3d",
+			Config: map[string]any{"nx": nx, "procs": procs, "steps": steps,
+				"backend": backend, "wal": true},
+			SimMetrics: map[string]float64{"bundle-MB": sizeMB},
+			WallNs:     best.Nanoseconds(), AllocsPerOp: allocs,
+		})
+		fmt.Fprintf(w, "%s\t%.1f\t%.1f\n", backend, float64(best.Nanoseconds())/1e6, sizeMB)
 	}
 	w.Flush()
 	fmt.Printf("expected: the WAL costs extra fsyncs and a staging pass, not extra data copies —\n" +
-		"overhead tracks the host's sync latency (noisy on shared machines), not data volume;\n" +
-		"bundle sizes must match with and without the WAL\n")
+		"save time tracks the host's sync latency (noisy on shared machines), not data volume\n")
 }
 
 // bundleBenchReps is how many times each bundle save is repeated (the

@@ -28,22 +28,21 @@ import (
 	"math"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"sdm"
-	"sdm/internal/pfs"
+	"sdm/internal/server"
 	"sdm/internal/wire"
 	"sdm/sdmclient"
 )
 
-// inventory is the tool's bundle view, loadable from a local bundle
-// directory or a remote daemon so the print path is shared.
-type inventory struct {
-	runs     []wire.Run
-	datasets func(run int64) ([]wire.Dataset, error)
-	writes   func(run int64) ([]wire.WriteRecord, error)
-	// read resolves and fetches one full slab plus its type info.
-	read func(run int64, dataset string, timestep int64) ([]byte, wire.Dataset, error)
+// bundle is what sdmcat reads: a local bundle through server.Source or
+// a daemon through *sdmclient.Client — one method set, so the print
+// and read paths (and their errors) are shared.
+type bundle interface {
+	Runs() ([]wire.Run, error)
+	Datasets(run int64) ([]wire.Dataset, error)
+	Writes(run int64) ([]wire.WriteRecord, error)
+	ReadDataset(run int64, dataset string, timestep int64) ([]byte, error)
 }
 
 func main() {
@@ -55,47 +54,55 @@ func main() {
 	head := flag.Int64("head", 0, "print only the first N values (0 = all)")
 	out := flag.String("o", "", "write raw bytes to this file instead of stdout")
 	remote := flag.String("remote", "", "read from a sdmd daemon at this base URL instead of a local bundle")
-	bundle := flag.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
+	bundleName := flag.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
 	flag.Parse()
 
-	var inv *inventory
-	var err error
+	var b bundle
 	switch {
 	case *remote != "":
 		if flag.NArg() != 0 {
 			fmt.Fprintln(os.Stderr, "usage: sdmcat -remote URL [-bundle name] [-list | -dataset name [options]]")
 			os.Exit(2)
 		}
-		inv, err = openRemote(*remote, *bundle)
+		var opts []sdmclient.Option
+		if *bundleName != "" {
+			opts = append(opts, sdmclient.WithBundle(*bundleName))
+		}
+		b = sdmclient.New(*remote, opts...)
 	default:
 		if flag.NArg() != 1 {
 			fmt.Fprintln(os.Stderr, "usage: sdmcat [-list | -dataset name [options]] BUNDLEDIR")
 			os.Exit(2)
 		}
-		if *bundle != "" {
+		if *bundleName != "" {
 			log.Fatal("sdmcat: -bundle requires -remote")
 		}
-		inv, err = openLocal(flag.Arg(0))
+		cl, err := sdm.OpenBundle(flag.Arg(0), sdm.ClusterConfig{})
+		if err != nil {
+			log.Fatal(describe(err))
+		}
+		b = server.Source{Catalog: cl.Catalog, FS: cl.FS}
 	}
+	runs, err := b.Runs()
 	if err != nil {
 		log.Fatal(describe(err))
 	}
 
 	if *list {
-		printInventory(inv)
+		printInventory(b, runs)
 		return
 	}
 	if *dataset == "" {
 		log.Fatal("sdmcat: -dataset is required (or use -list)")
 	}
 	if *run == 0 {
-		if len(inv.runs) == 0 {
+		if len(runs) == 0 {
 			log.Fatal("sdmcat: bundle has no runs")
 		}
-		*run = inv.runs[len(inv.runs)-1].RunID
+		*run = runs[len(runs)-1].RunID
 	}
 
-	buf, info, err := inv.read(*run, *dataset, *timestep)
+	buf, info, err := read(b, *run, *dataset, *timestep)
 	if err != nil {
 		log.Fatal(describe(err))
 	}
@@ -151,150 +158,41 @@ func main() {
 // connection ("is sdmd running?") reads nothing like a missing
 // dataset, because they need opposite fixes.
 func describe(err error) string {
-	switch {
-	case errors.Is(err, sdmclient.ErrUnreachable):
+	if errors.Is(err, sdmclient.ErrUnreachable) {
 		return fmt.Sprintf("sdmcat: cannot reach daemon: %v", err)
-	case errors.Is(err, sdmclient.ErrNotFound):
-		return fmt.Sprintf("sdmcat: %v", err)
-	default:
-		return fmt.Sprintf("sdmcat: %v", err)
 	}
+	return fmt.Sprintf("sdmcat: %v", err)
 }
 
-// openLocal loads the inventory straight from a bundle directory.
-func openLocal(dir string) (*inventory, error) {
-	cl, err := sdm.OpenBundle(dir, sdm.ClusterConfig{})
+// read fetches one full slab plus the dataset's type info.
+func read(b bundle, run int64, dataset string, timestep int64) ([]byte, *wire.Dataset, error) {
+	infos, err := b.Datasets(run)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cat := cl.Catalog
-	cat.SetAccessCost(0)
-	runs, err := cat.Runs(nil)
-	if err != nil {
-		return nil, err
-	}
-	inv := &inventory{
-		datasets: func(run int64) ([]wire.Dataset, error) {
-			infos, err := cat.Datasets(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.Dataset, len(infos))
-			for i, d := range infos {
-				out[i] = wire.Dataset{RunID: d.RunID, Dataset: d.Dataset, AccessPattern: d.AccessPattern,
-					DataType: d.DataType, StorageOrder: d.StorageOrder, GlobalSize: d.GlobalSize}
-			}
-			return out, nil
-		},
-		writes: func(run int64) ([]wire.WriteRecord, error) {
-			recs, err := cat.WritesForRun(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.WriteRecord, len(recs))
-			for i, r := range recs {
-				out[i] = wire.WriteRecord{RunID: r.RunID, Dataset: r.Dataset, Timestep: r.Timestep,
-					FileOffset: r.FileOffset, FileName: r.FileName}
-			}
-			return out, nil
-		},
-		read: func(run int64, dataset string, timestep int64) ([]byte, wire.Dataset, error) {
-			var none wire.Dataset
-			info, err := cat.LookupDataset(nil, run, dataset)
-			if err != nil {
-				return nil, none, err
-			}
-			if info == nil {
-				return nil, none, fmt.Errorf("dataset %q not registered for run %d", dataset, run)
-			}
-			rec, err := cat.LookupWrite(nil, run, dataset, timestep)
-			if err != nil {
-				return nil, none, err
-			}
-			if rec == nil {
-				return nil, none, fmt.Errorf("no execution_table entry for run %d dataset %q timestep %d",
-					run, dataset, timestep)
-			}
-			wd := wire.Dataset{RunID: info.RunID, Dataset: info.Dataset, DataType: info.DataType,
-				StorageOrder: info.StorageOrder, AccessPattern: info.AccessPattern, GlobalSize: info.GlobalSize}
-			buf := make([]byte, info.GlobalSize*wd.ElemSize())
-			h, err := cl.FS.Open(rec.FileName, pfs.ReadOnly, nil)
-			if err != nil {
-				return nil, none, err
-			}
-			if _, err := h.ReadAt(buf, rec.FileOffset); err != nil {
-				return nil, none, fmt.Errorf("reading %s@%d: %v", rec.FileName, rec.FileOffset, err)
-			}
-			return buf, wd, nil
-		},
-	}
-	for _, r := range runs {
-		inv.runs = append(inv.runs, wire.Run{RunID: r.RunID, Application: r.Application,
-			Dimension: r.Dimension, ProblemSize: r.ProblemSize, Timesteps: r.Timesteps,
-			Stamp: r.Stamp.Format("2006-01-02 15:04")})
-	}
-	return inv, nil
-}
-
-// openRemote loads the inventory from a sdmd daemon via the client SDK.
-func openRemote(base, bundle string) (*inventory, error) {
-	var opts []sdmclient.Option
-	if bundle != "" {
-		opts = append(opts, sdmclient.WithBundle(bundle))
-	}
-	c := sdmclient.New(base, opts...)
-	runs, err := c.Runs()
-	if err != nil {
-		return nil, err
-	}
-	for i := range runs {
-		if t, perr := time.Parse(time.RFC3339, runs[i].Stamp); perr == nil {
-			runs[i].Stamp = t.Format("2006-01-02 15:04")
+	for i := range infos {
+		if infos[i].Dataset == dataset {
+			buf, err := b.ReadDataset(run, dataset, timestep)
+			return buf, &infos[i], err
 		}
 	}
-	return &inventory{
-		runs:     runs,
-		datasets: c.Datasets,
-		writes:   c.Writes,
-		read: func(run int64, dataset string, timestep int64) ([]byte, wire.Dataset, error) {
-			var none wire.Dataset
-			infos, err := c.Datasets(run)
-			if err != nil {
-				return nil, none, err
-			}
-			var info *wire.Dataset
-			for i := range infos {
-				if infos[i].Dataset == dataset {
-					info = &infos[i]
-					break
-				}
-			}
-			if info == nil {
-				return nil, none, fmt.Errorf("%w: dataset %q not registered for run %d", sdmclient.ErrNotFound, dataset, run)
-			}
-			buf, err := c.ReadDataset(run, dataset, timestep)
-			if err != nil {
-				return nil, none, err
-			}
-			return buf, *info, nil
-		},
-	}, nil
+	return nil, nil, fmt.Errorf("%w: dataset %q not registered for run %d", wire.ErrNotFound, dataset, run)
 }
 
 // printInventory lists what the bundle's catalog knows: runs, their
 // datasets, and every recorded write.
-func printInventory(inv *inventory) {
+func printInventory(b bundle, runs []wire.Run) {
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	for _, r := range inv.runs {
-		fmt.Fprintf(w, "run %d\t%s\t%s\n", r.RunID, r.Application, r.Stamp)
-		infos, err := inv.datasets(r.RunID)
+	for _, r := range runs {
+		fmt.Fprintf(w, "run %d\t%s\t%s\n", r.RunID, r.Application, r.ShortStamp())
+		infos, err := b.Datasets(r.RunID)
 		if err != nil {
 			log.Fatal(describe(err))
 		}
 		for _, d := range infos {
 			fmt.Fprintf(w, "  dataset %s\t%s x %d\t%s\n", d.Dataset, d.DataType, d.GlobalSize, d.AccessPattern)
 		}
-		recs, err := inv.writes(r.RunID)
+		recs, err := b.Writes(r.RunID)
 		if err != nil {
 			log.Fatal(describe(err))
 		}

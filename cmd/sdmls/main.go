@@ -21,22 +21,23 @@ import (
 	"os"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"sdm/internal/catalog"
 	"sdm/internal/metadb"
+	"sdm/internal/server"
 	"sdm/internal/wire"
 	"sdm/sdmclient"
 )
 
-// view is the tool's catalog view in wire types, loadable from a local
-// catalog.db or a remote daemon so the print path is shared.
-type view struct {
-	runs      []wire.Run
-	datasets  func(run int64) ([]wire.Dataset, error)
-	writes    func(run int64) ([]wire.WriteRecord, error)
-	imports   func(run int64) ([]wire.ImportEntry, error)
-	histories func() ([]wire.IndexHistory, error)
+// tables is what sdmls reads: a local catalog.db through server.Source
+// or a daemon through *sdmclient.Client — one method set, so the print
+// path (and its errors) is shared.
+type tables interface {
+	Runs() ([]wire.Run, error)
+	Datasets(run int64) ([]wire.Dataset, error)
+	Writes(run int64) ([]wire.WriteRecord, error)
+	Imports(run int64) ([]wire.ImportEntry, error)
+	Histories() ([]wire.IndexHistory, error)
 }
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 	bundle := flag.String("bundle", "", "with -remote: bundle name on a multi-bundle daemon")
 	flag.Parse()
 
-	var v *view
+	var v tables
 	switch {
 	case *remote != "":
 		if flag.NArg() != 0 {
@@ -56,11 +57,11 @@ func main() {
 		if *sql != "" {
 			log.Fatal("sdmls: -sql needs a local catalog.db (the daemon does not expose raw SQL)")
 		}
-		var err error
-		v, err = openRemote(*remote, *bundle)
-		if err != nil {
-			log.Fatal(describe(err))
+		var opts []sdmclient.Option
+		if *bundle != "" {
+			opts = append(opts, sdmclient.WithBundle(*bundle))
 		}
+		v = sdmclient.New(*remote, opts...)
 	default:
 		if flag.NArg() != 1 {
 			fmt.Fprintln(os.Stderr, "usage: sdmls [-table name | -sql query] catalog.db")
@@ -82,29 +83,30 @@ func main() {
 			runSQL(db, *sql)
 			return
 		}
-		v, err = openLocal(db)
-		if err != nil {
-			log.Fatal(err)
-		}
+		v = server.Source{Catalog: catalog.New(db)}
+	}
+	runs, err := v.Runs()
+	if err != nil {
+		log.Fatal(describe(err))
 	}
 
 	show := func(name string) bool { return *table == "all" || *table == name }
 	w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 
 	if show("runs") {
-		fmt.Fprintf(w, "== run_table (%d rows) ==\n", len(v.runs))
+		fmt.Fprintf(w, "== run_table (%d rows) ==\n", len(runs))
 		fmt.Fprintln(w, "runid\tapplication\tdimension\tproblem_size\ttimesteps\tstamp")
-		for _, r := range v.runs {
+		for _, r := range runs {
 			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%s\n",
-				r.RunID, r.Application, r.Dimension, r.ProblemSize, r.Timesteps, r.Stamp)
+				r.RunID, r.Application, r.Dimension, r.ProblemSize, r.Timesteps, r.ShortStamp())
 		}
 		w.Flush()
 	}
 	if show("datasets") {
 		fmt.Fprintln(w, "\n== access_pattern_table ==")
 		fmt.Fprintln(w, "runid\tdataset\tpattern\ttype\torder\tglobal_size")
-		for _, r := range v.runs {
-			infos, err := v.datasets(r.RunID)
+		for _, r := range runs {
+			infos, err := v.Datasets(r.RunID)
 			if err != nil {
 				log.Fatal(describe(err))
 			}
@@ -118,8 +120,8 @@ func main() {
 	if show("writes") {
 		fmt.Fprintln(w, "\n== execution_table ==")
 		fmt.Fprintln(w, "runid\tdataset\ttimestep\tfile_offset\tfile_name")
-		for _, r := range v.runs {
-			recs, err := v.writes(r.RunID)
+		for _, r := range runs {
+			recs, err := v.Writes(r.RunID)
 			if err != nil {
 				log.Fatal(describe(err))
 			}
@@ -133,8 +135,8 @@ func main() {
 	if show("imports") {
 		fmt.Fprintln(w, "\n== import_table ==")
 		fmt.Fprintln(w, "runid\timported_name\tfile\ttype\tcontent\toffset\tlength")
-		for _, r := range v.runs {
-			imps, err := v.imports(r.RunID)
+		for _, r := range runs {
+			imps, err := v.Imports(r.RunID)
 			if err != nil {
 				log.Fatal(describe(err))
 			}
@@ -146,7 +148,7 @@ func main() {
 		w.Flush()
 	}
 	if show("histories") {
-		hists, err := v.histories()
+		hists, err := v.Histories()
 		if err != nil {
 			log.Fatal(describe(err))
 		}
@@ -185,96 +187,4 @@ func runSQL(db *metadb.DB, sql string) {
 		fmt.Fprintln(w, strings.Join(cells, "\t"))
 	}
 	w.Flush()
-}
-
-// openLocal adapts a loaded metadb snapshot to the shared view.
-func openLocal(db *metadb.DB) (*view, error) {
-	cat := catalog.New(db)
-	cat.SetAccessCost(0)
-	runs, err := cat.Runs(nil)
-	if err != nil {
-		return nil, err
-	}
-	v := &view{
-		datasets: func(run int64) ([]wire.Dataset, error) {
-			infos, err := cat.Datasets(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.Dataset, len(infos))
-			for i, d := range infos {
-				out[i] = wire.Dataset{RunID: d.RunID, Dataset: d.Dataset, AccessPattern: d.AccessPattern,
-					DataType: d.DataType, StorageOrder: d.StorageOrder, GlobalSize: d.GlobalSize}
-			}
-			return out, nil
-		},
-		writes: func(run int64) ([]wire.WriteRecord, error) {
-			recs, err := cat.WritesForRun(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.WriteRecord, len(recs))
-			for i, r := range recs {
-				out[i] = wire.WriteRecord{RunID: r.RunID, Dataset: r.Dataset, Timestep: r.Timestep,
-					FileOffset: r.FileOffset, FileName: r.FileName}
-			}
-			return out, nil
-		},
-		imports: func(run int64) ([]wire.ImportEntry, error) {
-			imps, err := cat.Imports(nil, run)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.ImportEntry, len(imps))
-			for i, e := range imps {
-				out[i] = wire.ImportEntry{RunID: e.RunID, ImportedName: e.ImportedName, FileName: e.FileName,
-					DataType: e.DataType, StorageOrder: e.StorageOrder, Partition: e.Partition,
-					FileContent: e.FileContent, FileOffset: e.FileOffset, Length: e.Length}
-			}
-			return out, nil
-		},
-		histories: func() ([]wire.IndexHistory, error) {
-			hists, err := cat.Histories(nil)
-			if err != nil {
-				return nil, err
-			}
-			out := make([]wire.IndexHistory, len(hists))
-			for i, h := range hists {
-				out[i] = wire.IndexHistory{ProblemSize: h.ProblemSize, NumNodes: h.NumNodes,
-					NProcs: h.NProcs, Dimension: h.Dimension, FileName: h.FileName}
-			}
-			return out, nil
-		},
-	}
-	for _, r := range runs {
-		v.runs = append(v.runs, wire.Run{RunID: r.RunID, Application: r.Application,
-			Dimension: r.Dimension, ProblemSize: r.ProblemSize, Timesteps: r.Timesteps,
-			Stamp: r.Stamp.Format("2006-01-02 15:04")})
-	}
-	return v, nil
-}
-
-// openRemote adapts a sdmd daemon to the shared view.
-func openRemote(base, bundle string) (*view, error) {
-	var opts []sdmclient.Option
-	if bundle != "" {
-		opts = append(opts, sdmclient.WithBundle(bundle))
-	}
-	c := sdmclient.New(base, opts...)
-	runs, err := c.Runs()
-	if err != nil {
-		return nil, err
-	}
-	for i := range runs {
-		if t, perr := time.Parse(time.RFC3339, runs[i].Stamp); perr == nil {
-			runs[i].Stamp = t.Format("2006-01-02 15:04")
-		}
-	}
-	return &view{
-		runs:      runs,
-		datasets:  c.Datasets,
-		writes:    c.Writes,
-		imports:   c.Imports,
-		histories: c.Histories,
-	}, nil
 }

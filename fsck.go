@@ -118,7 +118,7 @@ func FsckBundle(dir string, repair bool) (*FsckReport, error) {
 	}
 
 	// Phase 4: the file inventory against the backend.
-	b, svc, err := bundleBackend(dir, m.spec(), nil, nil)
+	b, svc, err := bundleBackend(dir, m.BundleLayout, nil, nil, nil)
 	if err != nil {
 		rep.errorf("backend: %v", err)
 		return rep, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -49,6 +50,15 @@ func (te *testEnv) run(t *testing.T, opts Options, fn func(s *SDM)) {
 
 // roundRobinMap builds the per-rank map array assigning element i*p+r
 // to rank r.
+// float64sToBytes serializes vals little-endian, as SDM stores DOUBLE.
+func float64sToBytes(vals []float64) []byte {
+	out := make([]byte, len(vals)*8)
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+	}
+	return out
+}
+
 func roundRobinMap(rank, size, globalN int) []int32 {
 	var out []int32
 	for g := rank; g < globalN; g += size {
@@ -133,6 +143,14 @@ func writeReadRoundTrip(t *testing.T, level FileOrganization, nRanks int, timest
 		if _, err := g.DataView([]string{"p", "q"}, m); err != nil {
 			panic(err)
 		}
+		p, err := DatasetOf[float64](g, "p")
+		if err != nil {
+			panic(err)
+		}
+		q, err := DatasetOf[float64](g, "q")
+		if err != nil {
+			panic(err)
+		}
 		for ts := 0; ts < timesteps; ts++ {
 			pv := make([]float64, len(m))
 			qv := make([]float64, len(m))
@@ -143,17 +161,17 @@ func writeReadRoundTrip(t *testing.T, level FileOrganization, nRanks int, timest
 			if ts == 0 {
 				mu[s.Comm().Rank()] = pv
 			}
-			if err := g.WriteFloat64s("p", int64(ts*10), pv); err != nil {
+			if err := p.PutAt(int64(ts*10), pv); err != nil {
 				panic(err)
 			}
-			if err := g.WriteFloat64s("q", int64(ts*10), qv); err != nil {
+			if err := q.PutAt(int64(ts*10), qv); err != nil {
 				panic(err)
 			}
 		}
 		// Read back every timestep of p and verify.
 		for ts := 0; ts < timesteps; ts++ {
-			got, err := g.ReadFloat64s("p", int64(ts*10), len(m))
-			if err != nil {
+			got := make([]float64, len(m))
+			if err := p.GetAt(int64(ts*10), got); err != nil {
 				panic(err)
 			}
 			for i, gidx := range m {
@@ -191,7 +209,11 @@ func TestGlobalFileOrderedByNodeNumber(t *testing.T) {
 			for i, gidx := range m {
 				vals[i] = float64(gidx) * 1.5
 			}
-			if err := g.WriteFloat64s("p", 0, vals); err != nil {
+			d, err := DatasetOf[float64](g, "p")
+			if err != nil {
+				panic(err)
+			}
+			if err := d.PutAt(0, vals); err != nil {
 				panic(err)
 			}
 		})
@@ -232,12 +254,14 @@ func TestLevelFileAndViewCounts(t *testing.T) {
 			g, _ := s.SetAttributes(attrs)
 			m := roundRobinMap(s.Comm().Rank(), 2, 16)
 			_, _ = g.DataView([]string{"p", "q"}, m)
+			p, _ := DatasetOf[float64](g, "p")
+			q, _ := DatasetOf[float64](g, "q")
 			vals := make([]float64, len(m))
 			for ts := 0; ts < 3; ts++ {
-				if err := g.WriteFloat64s("p", int64(ts), vals); err != nil {
+				if err := p.PutAt(int64(ts), vals); err != nil {
 					panic(err)
 				}
-				if err := g.WriteFloat64s("q", int64(ts), vals); err != nil {
+				if err := q.PutAt(int64(ts), vals); err != nil {
 					panic(err)
 				}
 			}
@@ -261,9 +285,10 @@ func TestExecutionTableRecordsWrites(t *testing.T) {
 		g, _ := s.SetAttributes([]Attr{{Name: "p", GlobalSize: 8, Type: Double}})
 		m := roundRobinMap(s.Comm().Rank(), 2, 8)
 		_, _ = g.DataView([]string{"p"}, m)
+		p, _ := DatasetOf[float64](g, "p")
 		vals := make([]float64, len(m))
-		_ = g.WriteFloat64s("p", 0, vals)
-		_ = g.WriteFloat64s("p", 10, vals)
+		_ = p.PutAt(0, vals)
+		_ = p.PutAt(10, vals)
 	})
 	recs, err := te.cat.WritesForRun(nil, 1)
 	if err != nil || len(recs) != 2 {
@@ -287,7 +312,11 @@ func TestReadAcrossSessionsViaExecutionTable(t *testing.T) {
 		for i, gidx := range m {
 			vals[i] = float64(gidx) + 7
 		}
-		if err := g.WriteFloat64s("p", 42, vals); err != nil {
+		d, err := DatasetOf[float64](g, "p")
+		if err == nil {
+			err = d.PutAt(42, vals)
+		}
+		if err != nil {
 			panic(err)
 		}
 	})
@@ -313,16 +342,20 @@ func TestWriteValidation(t *testing.T) {
 	te := newTestEnv(1)
 	te.run(t, Options{}, func(s *SDM) {
 		g, _ := s.SetAttributes([]Attr{{Name: "p", GlobalSize: 8, Type: Double}})
-		if err := g.WriteFloat64s("p", 0, nil); err == nil {
+		p, err := DatasetOf[float64](g, "p")
+		if err != nil {
+			panic(err)
+		}
+		if err := p.PutAt(0, nil); err == nil {
 			t.Error("write without view accepted")
 		}
 		if _, err := g.DataView([]string{"p"}, []int32{0, 1}); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("p", 0, make([]float64, 5)); err == nil {
+		if err := p.PutAt(0, make([]float64, 5)); err == nil {
 			t.Error("wrong buffer size accepted")
 		}
-		if err := g.WriteFloat64s("zz", 0, nil); err == nil {
+		if _, err := DatasetOf[float64](g, "zz"); err == nil {
 			t.Error("unknown dataset accepted")
 		}
 		if _, err := g.DataView([]string{"p"}, []int32{0, 99}); err == nil {
@@ -769,10 +802,18 @@ func TestFullPipelineMatchesSerial(t *testing.T) {
 					qOwned = append(qOwned, ql[i])
 				}
 			}
-			if err := g.WriteFloat64s("p", 0, pOwned); err != nil {
+			p, err := DatasetOf[float64](g, "p")
+			if err != nil {
 				panic(err)
 			}
-			if err := g.WriteFloat64s("q", 0, qOwned); err != nil {
+			q, err := DatasetOf[float64](g, "q")
+			if err != nil {
+				panic(err)
+			}
+			if err := p.PutAt(0, pOwned); err != nil {
+				panic(err)
+			}
+			if err := q.PutAt(0, qOwned); err != nil {
 				panic(err)
 			}
 			_ = c

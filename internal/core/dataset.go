@@ -125,14 +125,12 @@ func (d *Dataset[T]) Get(out []T) error {
 	return d.g.enqueueGet(d.name, len(out), decodeElems(out))
 }
 
-// PutAt writes one timestep as a one-operation epoch — the migration
-// target for the deprecated WriteFloat64s.
+// PutAt writes one timestep as a one-operation epoch.
 func (d *Dataset[T]) PutAt(timestep int64, vals []T) error {
 	return d.g.oneOpEpoch(timestep, func() error { return d.Put(vals) })
 }
 
-// GetAt reads one timestep as a one-operation epoch — the migration
-// target for the deprecated ReadFloat64s.
+// GetAt reads one timestep as a one-operation epoch.
 func (d *Dataset[T]) GetAt(timestep int64, out []T) error {
 	return d.g.oneOpEpoch(timestep, func() error { return d.Get(out) })
 }

@@ -775,8 +775,8 @@ func TestLegacyWriteInsideEpochRejected(t *testing.T) {
 		if err := g.BeginStep(0); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("p", 0, vals); err == nil {
-			t.Error("WriteFloat64s inside an open epoch accepted")
+		if err := g.Write("p", 0, float64sToBytes(vals)); err == nil {
+			t.Error("Write inside an open epoch accepted")
 		}
 		if err := d.PutAt(0, vals); err == nil {
 			t.Error("PutAt inside an open epoch accepted")

@@ -67,12 +67,20 @@ func TestCatalogFlowMatchesFigure4(t *testing.T) {
 		if _, err := g.DataView([]string{"p", "q"}, ip.OwnedNodes); err != nil {
 			panic(err)
 		}
+		p, err := DatasetOf[float64](g, "p")
+		if err != nil {
+			panic(err)
+		}
+		q, err := DatasetOf[float64](g, "q")
+		if err != nil {
+			panic(err)
+		}
 		buf := make([]float64, len(ip.OwnedNodes))
 		for _, ts := range []int64{0, 10, 20} {
-			if err := g.WriteFloat64s("p", ts, buf); err != nil {
+			if err := p.PutAt(ts, buf); err != nil {
 				panic(err)
 			}
-			if err := g.WriteFloat64s("q", ts, buf); err != nil {
+			if err := q.PutAt(ts, buf); err != nil {
 				panic(err)
 			}
 		}
@@ -156,11 +164,15 @@ func TestWriteReadPropertyAcrossLevels(t *testing.T) {
 			for i, gi := range m {
 				vals[i] = float64(gi) + 0.25
 			}
-			if err := g.WriteFloat64s("d", 0, vals); err != nil {
+			d, err := DatasetOf[float64](g, "d")
+			if err != nil {
 				panic(err)
 			}
-			got, err := g.ReadFloat64s("d", 0, len(m))
-			if err != nil {
+			if err := d.PutAt(0, vals); err != nil {
+				panic(err)
+			}
+			got := make([]float64, len(m))
+			if err := d.GetAt(0, got); err != nil {
 				panic(err)
 			}
 			for i := range vals {

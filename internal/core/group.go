@@ -33,14 +33,13 @@ type Group struct {
 	// the same engine.
 	ep stepEpoch
 
-	// Reusable per-rank staging buffers for the write/read hot path.
-	// A Group belongs to one rank goroutine; the collective I/O layer
-	// copies payloads out before returning, so reuse across operations
-	// is safe. Each open file checks its I/O scratch bundle out of the
-	// pool (returned at close), so per-file collectives from different
-	// in-flight epochs never share staging buffers.
-	convScratch []byte
-	scratch     mpiio.ScratchPool
+	// Reusable per-rank I/O staging buffers. A Group belongs to one
+	// rank goroutine; the collective I/O layer copies payloads out
+	// before returning, so reuse across operations is safe. Each open
+	// file checks its I/O scratch bundle out of the pool (returned at
+	// close), so per-file collectives from different in-flight epochs
+	// never share staging buffers.
+	scratch mpiio.ScratchPool
 }
 
 type writeKey struct {
@@ -255,9 +254,6 @@ type View struct {
 
 // LocalSize reports the number of local elements the view maps.
 func (v *View) LocalSize() int { return len(v.mapArr) }
-
-// MapArray returns the view's map array (not copied; do not mutate).
-func (v *View) MapArray() []int32 { return v.mapArr }
 
 // DataView installs one shared view for the named datasets, mirroring
 // the paper's SDM_data_view(handle, ndata, firstName, &map, &size)
@@ -495,44 +491,4 @@ func (g *Group) Write(dataset string, timestep int64, data []byte) error {
 // A one-operation epoch over the deferred engine, like Write.
 func (g *Group) Read(dataset string, timestep int64, out []byte) error {
 	return g.oneOpEpoch(timestep, func() error { return g.getBytes(dataset, out) })
-}
-
-// WriteFloat64s is Write for float64 data.
-//
-// Deprecated: build a typed handle with DatasetOf[float64] and use
-// Put (inside BeginStep/EndStep) or PutAt — the typed path fuses
-// conversion and permutation and batches whole timesteps.
-func (g *Group) WriteFloat64s(dataset string, timestep int64, vals []float64) error {
-	g.convScratch = float64sToBytesInto(g.convScratch, vals)
-	return g.Write(dataset, timestep, g.convScratch)
-}
-
-// ReadFloat64s is Read for float64 data.
-//
-// Deprecated: build a typed handle with DatasetOf[float64] and use
-// Get (inside BeginStep/EndStep) or GetAt.
-func (g *Group) ReadFloat64s(dataset string, timestep int64, n int) ([]float64, error) {
-	if cap(g.convScratch) < n*8 {
-		g.convScratch = make([]byte, n*8)
-	}
-	buf := g.convScratch[:n*8]
-	if err := g.Read(dataset, timestep, buf); err != nil {
-		return nil, err
-	}
-	return bytesToFloat64s(buf), nil
-}
-
-// FileNames lists the files this group has written so far, in the
-// deterministic order of the file system namespace.
-func (g *Group) FileNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, rec := range g.written {
-		if !seen[rec.FileName] {
-			seen[rec.FileName] = true
-			names = append(names, rec.FileName)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

@@ -41,32 +41,40 @@ func TestMixedGroupLevel3AppendsSlabs(t *testing.T) {
 			}
 			return out
 		}
+		small, err := DatasetOf[float64](g, "small")
+		if err != nil {
+			panic(err)
+		}
+		large, err := DatasetOf[float64](g, "large")
+		if err != nil {
+			panic(err)
+		}
 		// Interleave writes across two timesteps; slabs append in call
 		// order: small@0, large@64, small@224, large@288.
-		if err := g.WriteFloat64s("small", 0, fill(ms, 100)); err != nil {
+		if err := small.PutAt(0, fill(ms, 100)); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("large", 0, fill(ml, 200)); err != nil {
+		if err := large.PutAt(0, fill(ml, 200)); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("small", 1, fill(ms, 300)); err != nil {
+		if err := small.PutAt(1, fill(ms, 300)); err != nil {
 			panic(err)
 		}
-		if err := g.WriteFloat64s("large", 1, fill(ml, 400)); err != nil {
+		if err := large.PutAt(1, fill(ml, 400)); err != nil {
 			panic(err)
 		}
 		// Read everything back through the same group.
 		for _, tc := range []struct {
-			name string
+			d    *Dataset[float64]
 			ts   int64
 			m    []int32
 			base float64
 		}{
-			{"small", 0, ms, 100}, {"large", 0, ml, 200},
-			{"small", 1, ms, 300}, {"large", 1, ml, 400},
+			{small, 0, ms, 100}, {large, 0, ml, 200},
+			{small, 1, ms, 300}, {large, 1, ml, 400},
 		} {
-			got, err := g.ReadFloat64s(tc.name, tc.ts, len(tc.m))
-			if err != nil {
+			got := make([]float64, len(tc.m))
+			if err := tc.d.GetAt(tc.ts, got); err != nil {
 				panic(err)
 			}
 			for i, gi := range tc.m {
@@ -181,19 +189,20 @@ func TestLevel2ReadBackAfterManySteps(t *testing.T) {
 		g, _ := s.SetAttributes([]Attr{{Name: "d", GlobalSize: 10, Type: Double}})
 		m := roundRobinMap(s.Comm().Rank(), 2, 10)
 		_, _ = g.DataView([]string{"d"}, m)
+		d, _ := DatasetOf[float64](g, "d")
 		for ts := 0; ts < 7; ts++ {
 			vals := make([]float64, len(m))
 			for i := range vals {
 				vals[i] = float64(ts*100 + i)
 			}
-			if err := g.WriteFloat64s("d", int64(ts), vals); err != nil {
+			if err := d.PutAt(int64(ts), vals); err != nil {
 				panic(err)
 			}
 		}
 		// Read steps out of order.
 		for _, ts := range []int64{5, 0, 6, 3} {
-			got, err := g.ReadFloat64s("d", ts, len(m))
-			if err != nil {
+			got := make([]float64, len(m))
+			if err := d.GetAt(ts, got); err != nil {
 				panic(err)
 			}
 			for i := range got {

@@ -247,16 +247,6 @@ func (s *System) RegisterMetrics(r *obs.Registry) {
 	})
 }
 
-// ServerBusy reports each server's cumulative busy time, for
-// utilization analysis.
-func (s *System) ServerBusy() []sim.Duration {
-	out := make([]sim.Duration, len(s.servers))
-	for i, r := range s.servers {
-		out[i], _ = r.Stats()
-	}
-	return out
-}
-
 // ResetSchedules clears all server and metadata queues (not file
 // contents), so consecutive experiments on one system start from an
 // idle disk array.

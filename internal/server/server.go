@@ -27,23 +27,11 @@ import (
 	"sync"
 	"time"
 
-	"sdm/internal/catalog"
 	"sdm/internal/obs"
-	"sdm/internal/pfs"
 	"sdm/internal/sim"
 	"sdm/internal/store"
 	"sdm/internal/wire"
 )
-
-// Source is one mounted bundle: the metadata catalog resolving names
-// to placements and the file system holding the bytes. The server
-// reads the catalog with nil clocks (network clients have no simulated
-// rank clock to charge) and the bytes directly from the store backend
-// beneath the pfs — both paths are safe for concurrent readers.
-type Source struct {
-	Catalog *catalog.Catalog
-	FS      *pfs.System
-}
 
 // mount wraps a Source with the server's per-bundle state: a cache of
 // opened store objects so block fetches don't re-open the backing
@@ -236,32 +224,43 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// httpError is a status-coded error on its way to the wire.
+// httpError is a status-coded error on its way to the wire. It
+// unwraps to the wire sentinel of its class and reads "<class>:
+// <message>", so a local Source caller sees exactly the error an
+// sdmclient caller gets from the daemon's reply.
 type httpError struct {
 	status int
 	code   string
+	class  error // nil for internal errors
 	msg    string
 }
 
-func (e *httpError) Error() string { return e.msg }
+func (e *httpError) Error() string {
+	if e.class == nil {
+		return e.msg
+	}
+	return e.class.Error() + ": " + e.msg
+}
+
+func (e *httpError) Unwrap() error { return e.class }
 
 func errNotFound(format string, args ...any) *httpError {
-	return &httpError{http.StatusNotFound, wire.CodeNotFound, fmt.Sprintf(format, args...)}
+	return &httpError{http.StatusNotFound, wire.CodeNotFound, wire.ErrNotFound, fmt.Sprintf(format, args...)}
 }
 
 func errBadRequest(format string, args ...any) *httpError {
-	return &httpError{http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf(format, args...)}
+	return &httpError{http.StatusBadRequest, wire.CodeBadRequest, wire.ErrBadRequest, fmt.Sprintf(format, args...)}
 }
 
 func errRange(format string, args ...any) *httpError {
-	return &httpError{http.StatusRequestedRangeNotSatisfiable, wire.CodeRange, fmt.Sprintf(format, args...)}
+	return &httpError{http.StatusRequestedRangeNotSatisfiable, wire.CodeRange, wire.ErrRange, fmt.Sprintf(format, args...)}
 }
 
 // fail writes the error envelope, mapping untyped errors to 500.
 func fail(w http.ResponseWriter, err error) {
 	he, ok := err.(*httpError)
 	if !ok {
-		he = &httpError{http.StatusInternalServerError, wire.CodeInternal, err.Error()}
+		he = &httpError{http.StatusInternalServerError, wire.CodeInternal, nil, err.Error()}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(he.status)
@@ -272,6 +271,18 @@ func fail(w http.ResponseWriter, err error) {
 func reply(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// answer returns a sink that replies with a result, or fails with its
+// error: answer(w)(m.src.Runs()).
+func answer(w http.ResponseWriter) func(any, error) {
+	return func(v any, err error) {
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		reply(w, v)
+	}
 }
 
 // bundleFor resolves the request's ?bundle= (default: first mount).
@@ -290,6 +301,16 @@ func (s *Server) bundleFor(r *http.Request) (*mount, error) {
 		return nil, errNotFound("bundle %q not mounted", name)
 	}
 	return m, nil
+}
+
+// runFor resolves a per-run request's bundle and {run} path value.
+func (s *Server) runFor(r *http.Request) (*mount, int64, error) {
+	m, err := s.bundleFor(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	run, err := pathInt64(r, "run")
+	return m, run, err
 }
 
 // pathInt64 parses a {name} path value as an integer.
@@ -315,151 +336,34 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	runs, err := m.src.Catalog.Runs(nil)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.Run, len(runs))
-	for i, rr := range runs {
-		out[i] = toWireRun(rr)
-	}
-	reply(w, out)
-}
-
-func toWireRun(r catalog.Run) wire.Run {
-	return wire.Run{
-		RunID:       r.RunID,
-		Application: r.Application,
-		Dimension:   r.Dimension,
-		ProblemSize: r.ProblemSize,
-		Timesteps:   r.Timesteps,
-		Stamp:       r.Stamp.Format(time.RFC3339),
-	}
-}
-
-func toWireDataset(d catalog.DatasetInfo) wire.Dataset {
-	return wire.Dataset{
-		RunID:         d.RunID,
-		Dataset:       d.Dataset,
-		AccessPattern: d.AccessPattern,
-		DataType:      d.DataType,
-		StorageOrder:  d.StorageOrder,
-		GlobalSize:    d.GlobalSize,
-	}
-}
-
-func toWireWrite(r catalog.WriteRecord) wire.WriteRecord {
-	return wire.WriteRecord{
-		RunID:      r.RunID,
-		Dataset:    r.Dataset,
-		Timestep:   r.Timestep,
-		FileOffset: r.FileOffset,
-		FileName:   r.FileName,
-	}
-}
-
-// lookupRun fetches a run row, 404ing when absent.
-func (s *Server) lookupRun(m *mount, runID int64) (*catalog.Run, error) {
-	run, err := m.src.Catalog.LookupRun(nil, runID)
-	if err != nil {
-		return nil, err
-	}
-	if run == nil {
-		return nil, errNotFound("run %d not found in bundle %q", runID, m.name)
-	}
-	return run, nil
+	answer(w)(m.src.Runs())
 }
 
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
+	m, run, err := s.runFor(r)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	runID, err := pathInt64(r, "run")
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	infos, err := m.src.Catalog.Datasets(nil, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.Dataset, len(infos))
-	for i, d := range infos {
-		out[i] = toWireDataset(d)
-	}
-	reply(w, out)
+	answer(w)(m.src.Datasets(run))
 }
 
 func (s *Server) handleWrites(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
+	m, run, err := s.runFor(r)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	runID, err := pathInt64(r, "run")
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	recs, err := m.src.Catalog.WritesForRun(nil, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.WriteRecord, len(recs))
-	for i, rec := range recs {
-		out[i] = toWireWrite(rec)
-	}
-	reply(w, out)
+	answer(w)(m.src.Writes(run))
 }
 
 func (s *Server) handleImports(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
+	m, run, err := s.runFor(r)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	runID, err := pathInt64(r, "run")
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	imps, err := m.src.Catalog.Imports(nil, runID)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.ImportEntry, len(imps))
-	for i, e := range imps {
-		out[i] = wire.ImportEntry{
-			RunID:        e.RunID,
-			ImportedName: e.ImportedName,
-			FileName:     e.FileName,
-			DataType:     e.DataType,
-			StorageOrder: e.StorageOrder,
-			Partition:    e.Partition,
-			FileContent:  e.FileContent,
-			FileOffset:   e.FileOffset,
-			Length:       e.Length,
-		}
-	}
-	reply(w, out)
+	answer(w)(m.src.Imports(run))
 }
 
 func (s *Server) handleHistories(w http.ResponseWriter, r *http.Request) {
@@ -468,33 +372,13 @@ func (s *Server) handleHistories(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	hists, err := m.src.Catalog.Histories(nil)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	out := make([]wire.IndexHistory, len(hists))
-	for i, h := range hists {
-		out[i] = wire.IndexHistory{
-			ProblemSize: h.ProblemSize,
-			NumNodes:    h.NumNodes,
-			NProcs:      h.NProcs,
-			Dimension:   h.Dimension,
-			FileName:    h.FileName,
-		}
-	}
-	reply(w, out)
+	answer(w)(m.src.Histories())
 }
 
 // handleLookup is the server-side batched LookupWrites: the whole key
 // batch resolves in one catalog call, one round trip, one JSON body.
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID, err := pathInt64(r, "run")
+	m, run, err := s.runFor(r)
 	if err != nil {
 		fail(w, err)
 		return
@@ -504,28 +388,13 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		fail(w, errBadRequest("bad lookup body: %v", err))
 		return
 	}
-	if _, err := s.lookupRun(m, runID); err != nil {
-		fail(w, err)
-		return
-	}
-	keys := make([]catalog.WriteKey, len(req.Keys))
-	for i, k := range req.Keys {
-		keys[i] = catalog.WriteKey{Dataset: k.Dataset, Timestep: k.Timestep}
-	}
-	s.lookups.Add(int64(len(keys)))
-	recs, err := m.src.Catalog.LookupWrites(nil, runID, keys)
+	recs, err := m.src.Lookup(run, req.Keys)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	out := wire.LookupResponse{Records: make([]*wire.WriteRecord, len(recs))}
-	for i, rec := range recs {
-		if rec != nil {
-			wr := toWireWrite(*rec)
-			out.Records[i] = &wr
-		}
-	}
-	reply(w, out)
+	s.lookups.Add(int64(len(req.Keys)))
+	reply(w, wire.LookupResponse{Records: recs})
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +420,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 	}
 	runID := req.Run
 	if runID == 0 {
-		runs, err := m.src.Catalog.Runs(nil)
+		runs, err := m.src.Runs()
 		if err != nil {
 			fail(w, err)
 			return
@@ -562,12 +431,12 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		}
 		runID = runs[len(runs)-1].RunID
 	}
-	run, err := s.lookupRun(m, runID)
+	run, err := m.src.run(runID)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	infos, err := m.src.Catalog.Datasets(nil, runID)
+	datasets, err := m.src.Datasets(runID)
 	if err != nil {
 		fail(w, err)
 		return
@@ -577,16 +446,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	out := wire.AttachResponse{
-		Session:  sess.id,
-		Bundle:   m.name,
-		Run:      toWireRun(*run),
-		Datasets: make([]wire.Dataset, len(infos)),
-	}
-	for i, d := range infos {
-		out.Datasets[i] = toWireDataset(d)
-	}
-	reply(w, out)
+	reply(w, wire.AttachResponse{Session: sess.id, Bundle: m.name, Run: run, Datasets: datasets})
 }
 
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
@@ -615,12 +475,7 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 // access_pattern_table for shape, execution_table for placement — so
 // remote bytes are pinned identical to a local bundle read.
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
-	m, err := s.bundleFor(r)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	runID, err := pathInt64(r, "run")
+	m, runID, err := s.runFor(r)
 	if err != nil {
 		fail(w, err)
 		return
@@ -647,26 +502,9 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	info, err := m.src.Catalog.LookupDataset(nil, runID, dataset)
+	info, rec, err := m.src.slab(runID, dataset, ts)
 	if err != nil {
 		fail(w, err)
-		return
-	}
-	if info == nil {
-		if _, err := s.lookupRun(m, runID); err != nil {
-			fail(w, err)
-			return
-		}
-		fail(w, errNotFound("dataset %q not registered for run %d", dataset, runID))
-		return
-	}
-	rec, err := m.src.Catalog.LookupWrite(nil, runID, dataset, ts)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if rec == nil {
-		fail(w, errNotFound("no write recorded for run %d dataset %q timestep %d", runID, dataset, ts))
 		return
 	}
 
@@ -700,8 +538,7 @@ func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rec.FileOffset+full > size {
-		fail(w, errRange("file %q holds %d bytes, slab needs [%d,%d)",
-			rec.FileName, size, rec.FileOffset, rec.FileOffset+full))
+		fail(w, errSlabRange(rec, size, full))
 		return
 	}
 

@@ -237,14 +237,9 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	return r.PermInto(make([]int, n))
-}
-
-// PermInto fills p with a pseudo-random permutation of [0, len(p)),
-// drawing the same variates as Perm, so callers can reuse one buffer
-// across repeated shuffles.
+// PermInto fills p with a pseudo-random permutation of [0, len(p))
+// (a Fisher–Yates shuffle), so callers can reuse one buffer across
+// repeated shuffles.
 func (r *RNG) PermInto(p []int) []int {
 	for i := range p {
 		p[i] = i

@@ -219,13 +219,19 @@ func TestRetryIdempotenceAware(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustion: a fault rate of 1.0 on reads burns the full
-// attempt budget, then surfaces the transient error with stats.
+// TestRetryExhaustion: a fault rate of 1.0 on opens burns the full
+// attempt budget, then surfaces an *ExhaustedError wrapping the
+// transient cause, with stats.
 func TestRetryExhaustion(t *testing.T) {
 	f := NewFaulty(NewMem(), FaultConfig{Seed: 2, Transient: 1.0, Ops: map[Op]bool{OpOpen: true}})
 	r := WithRetry(f, RetryPolicy{MaxAttempts: 3, Sleep: noSleep})
-	if _, err := r.Open("a"); !IsTransient(err) {
-		t.Fatalf("open = %v, want transient", err)
+	_, err := r.Open("a")
+	if !IsTransient(err) || !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("open = %v, want transient ErrUnavailable", err)
+	}
+	var ex *ExhaustedError
+	if !errors.As(err, &ex) || ex.Attempts != 3 || ex.Op != OpOpen {
+		t.Fatalf("open = %v, want *ExhaustedError after 3 open attempts", err)
 	}
 	st := r.Stats()
 	if st.Retries != 2 || st.Exhausted != 1 {

@@ -351,6 +351,36 @@ func TestBackendAbortSurfacesUnderlyingError(t *testing.T) {
 	}
 }
 
+// TestRetryDecoratorDoesNotNestRetries: a store.Retry decorator over
+// an objstore Backend (which retries each request internally through
+// RetryPolicy.Do) must not retry the backend's exhausted error again —
+// one failing Stat costs MaxAttempts remote requests, not its square.
+func TestRetryDecoratorDoesNotNestRetries(t *testing.T) {
+	s := NewService(CostModel{})
+	if _, err := s.Put("k", []byte("v"), AnyGeneration); err != nil {
+		t.Fatal(err)
+	}
+	policy := store.RetryPolicy{MaxAttempts: 3, Sleep: noSleep}
+	r := store.WithRetry(New(s, Options{Retry: &policy}), policy)
+	before := s.Stats().Requests
+	s.SetFaults(1.0, 3)
+	_, err := r.Stat("k")
+	s.SetFaults(0, 0)
+	if !errors.Is(err, store.ErrUnavailable) {
+		t.Fatalf("stat = %v, want ErrUnavailable", err)
+	}
+	var ex *store.ExhaustedError
+	if !errors.As(err, &ex) || ex.Attempts != 3 {
+		t.Fatalf("stat = %v, want *store.ExhaustedError after 3 attempts", err)
+	}
+	if got := s.Stats().Requests - before; got != 3 {
+		t.Fatalf("one Stat issued %d remote requests, want 3", got)
+	}
+	if st := r.Stats(); st.Retries != 0 || st.Exhausted != 1 {
+		t.Fatalf("decorator stats %+v, want 0 retries and 1 exhaustion", st)
+	}
+}
+
 func TestBackendRename(t *testing.T) {
 	s := NewService(CostModel{})
 	b := testBackend(s, 1<<20)

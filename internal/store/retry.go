@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -94,16 +95,31 @@ func backoffDelay(p *RetryPolicy, n int, jitter float64) time.Duration {
 func (p RetryPolicy) Do(op Op, fn func() error) error {
 	p.fill()
 	rng := rand.New(rand.NewSource(p.Seed))
+	_, err := p.loop(op, rng.Float64, fn)
+	return err
+}
+
+// loop is the one retry loop behind Do and the Retry decorator: fn is
+// re-issued while it fails transiently, sleeping a jittered exponential
+// backoff (jitter draws from [0, 1)) between attempts, until it
+// succeeds, fails for good, or exhausts the attempt or elapsed budget —
+// then the last error comes back wrapped in an *ExhaustedError. An
+// error already carrying an *ExhaustedError is final: a decorated
+// backend that retries internally (objstore through Do) has spent its
+// budget, and retrying it again would multiply the requests issued. It
+// reports the number of attempts made.
+func (p *RetryPolicy) loop(op Op, jitter func() float64, fn func() error) (int, error) {
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
 		err := fn()
-		if err == nil || !IsTransient(err) {
-			return err
+		var ex *ExhaustedError
+		if err == nil || !IsTransient(err) || errors.As(err, &ex) {
+			return attempt, err
 		}
 		if attempt >= p.MaxAttempts || time.Since(start) >= p.MaxElapsed {
-			return &ExhaustedError{Op: op, Attempts: attempt, Elapsed: time.Since(start), Err: err}
+			return attempt, &ExhaustedError{Op: op, Attempts: attempt, Elapsed: time.Since(start), Err: err}
 		}
-		p.Sleep(backoffDelay(&p, attempt, rng.Float64()))
+		p.Sleep(backoffDelay(p, attempt, jitter()))
 	}
 }
 
@@ -111,7 +127,7 @@ func (p RetryPolicy) Do(op Op, fn func() error) error {
 type RetryStats struct {
 	Ops       int64 // operations issued through the decorator
 	Retries   int64 // re-issued attempts (beyond each op's first)
-	Exhausted int64 // ops that failed even after retrying
+	Exhausted int64 // ops that failed even after retrying (*ExhaustedError)
 }
 
 // Retry decorates a Backend with idempotence-aware retries: transient
@@ -145,51 +161,36 @@ func (r *Retry) Stats() RetryStats {
 	return r.stats
 }
 
-// Inner returns the wrapped backend.
-func (r *Retry) Inner() Backend { return r.inner }
-
-// retriable reports whether op may be re-issued under this policy.
-func (r *Retry) retriable(op Op) bool {
-	if idempotentOps[op] {
-		return true
-	}
-	return r.policy.NamespaceOps
-}
-
-// backoff computes the sleep before retry attempt number n (1-based).
-func (r *Retry) backoff(n int) time.Duration {
-	d := r.policy.BaseDelay << (n - 1)
-	if d > r.policy.MaxDelay || d <= 0 {
-		d = r.policy.MaxDelay
-	}
+// jitter draws the next backoff jitter from the decorator's shared,
+// seeded PRNG.
+func (r *Retry) jitter() float64 {
 	r.mu.Lock()
-	jitter := 0.5 + r.rng.Float64()
-	r.mu.Unlock()
-	return time.Duration(float64(d) * jitter)
+	defer r.mu.Unlock()
+	return r.rng.Float64()
 }
 
-// do runs fn under the retry loop.
+// do runs fn under the policy's retry loop when op may be re-issued
+// (idempotent, or a namespace op under NamespaceOps), and once
+// otherwise, counting the work in the decorator's stats. An error
+// carrying an *ExhaustedError — from this loop or from a backend
+// beneath that retries internally — counts as an exhaustion.
 func (r *Retry) do(op Op, fn func() error) error {
-	r.mu.Lock()
-	r.stats.Ops++
-	r.mu.Unlock()
-	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		err := fn()
-		if err == nil || !IsTransient(err) || !r.retriable(op) {
-			return err
-		}
-		if attempt >= r.policy.MaxAttempts || time.Since(start) >= r.policy.MaxElapsed {
-			r.mu.Lock()
-			r.stats.Exhausted++
-			r.mu.Unlock()
-			return err
-		}
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
-		r.policy.Sleep(r.backoff(attempt))
+	var attempts int
+	var err error
+	if idempotentOps[op] || r.policy.NamespaceOps {
+		attempts, err = r.policy.loop(op, r.jitter, fn)
+	} else {
+		attempts, err = 1, fn()
 	}
+	var ex *ExhaustedError
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.stats.Ops++
+	r.stats.Retries += int64(attempts - 1)
+	if errors.As(err, &ex) {
+		r.stats.Exhausted++
+	}
+	return err
 }
 
 // Kind reports the wrapped backend's kind.

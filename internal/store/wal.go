@@ -47,17 +47,25 @@ const (
 	WALCommit byte = 4
 )
 
-// WALBeginRecord is the payload of a WALBegin record. Endpoint and
-// PartSize are set for remote ("obj") backends so recovery can
-// reconnect to the same simulated remote with the same multipart
-// geometry.
-type WALBeginRecord struct {
-	Format    int    `json:"format"`
+// BundleLayout pins everything needed to rebuild a bundle's byte
+// store: the backend kind plus its kind-specific geometry. It is
+// embedded in both the bundle manifest and the WAL's begin record, so
+// open, GC, fsck, and crash recovery all reconstruct the store a save
+// wrote through. Endpoint and PartSize are set only for remote ("obj")
+// backends, so recovery reconnects to the same simulated remote with
+// the same multipart geometry.
+type BundleLayout struct {
 	Backend   string `json:"backend"`
 	Compress  bool   `json:"compress,omitempty"`
 	ChunkSize int64  `json:"chunk_size,omitempty"`
 	Endpoint  string `json:"endpoint,omitempty"`
 	PartSize  int64  `json:"part_size,omitempty"`
+}
+
+// WALBeginRecord is the payload of a WALBegin record.
+type WALBeginRecord struct {
+	Format int `json:"format"`
+	BundleLayout
 }
 
 // WALPutRecord is the payload of a WALPut record: the intent to

@@ -14,7 +14,7 @@ func writeTestWAL(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(WALBegin, WALBeginRecord{Format: 1, Backend: "cas", Compress: true, ChunkSize: 512}); err != nil {
+	if err := w.Append(WALBegin, WALBeginRecord{Format: 1, BundleLayout: BundleLayout{Backend: "cas", Compress: true, ChunkSize: 512}}); err != nil {
 		t.Fatal(err)
 	}
 	puts := []WALPutRecord{

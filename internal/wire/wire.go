@@ -26,6 +26,11 @@
 // mounted bundle is the default.
 package wire
 
+import (
+	"errors"
+	"time"
+)
+
 // SessionHeader carries a session id on read requests, scoping the
 // read to an attached run and refreshing the session's idle deadline.
 const SessionHeader = "X-Sdm-Session"
@@ -44,6 +49,17 @@ const (
 	CodeInternal   = "internal"
 )
 
+// Sentinel errors for the not-found, bad-request, and range classes,
+// matched with errors.Is. The daemon's errors unwrap to them (also when
+// a local tool reads a bundle through server.Source directly), and
+// sdmclient maps the matching HTTP statuses back onto them, so a
+// caller tells the classes apart identically on both paths.
+var (
+	ErrNotFound   = errors.New("not found")
+	ErrBadRequest = errors.New("bad request")
+	ErrRange      = errors.New("range not satisfiable")
+)
+
 // Ping is the liveness response: the daemon is up and serving these
 // bundles (mount order; the first is the default for unqualified
 // requests).
@@ -60,6 +76,16 @@ type Run struct {
 	ProblemSize int64  `json:"problem_size"`
 	Timesteps   int64  `json:"num_timesteps"`
 	Stamp       string `json:"stamp"` // RFC 3339
+}
+
+// ShortStamp renders Stamp for display as "2006-01-02 15:04" in the
+// stamp's own zone, or verbatim when it does not parse.
+func (r Run) ShortStamp() string {
+	t, err := time.Parse(time.RFC3339, r.Stamp)
+	if err != nil {
+		return r.Stamp
+	}
+	return t.Format("2006-01-02 15:04")
 }
 
 // Dataset mirrors catalog.DatasetInfo (one access_pattern_table row).

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"sdm/internal/metadb"
 	"sdm/internal/store"
@@ -106,9 +105,7 @@ func readBundleObject(b store.Backend, name string, size int64) ([]byte, error) 
 // never modified.
 func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, error) {
 	var st MigrateStats
-	if opts.Backend == "" {
-		opts.Backend = "dir"
-	}
+	l := opts.layout(dstDir)
 	absSrc, absDst := srcDir, dstDir
 	if a, err := filepath.Abs(srcDir); err == nil {
 		absSrc = filepath.Clean(a)
@@ -150,7 +147,7 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	if err := json.Unmarshal(rawSrc, &srcM); err != nil {
 		return st, fmt.Errorf("sdm: migrate: corrupt source manifest: %w", err)
 	}
-	srcB, _, err := bundleBackend(srcDir, srcM.spec(), opts.Faults, opts.Retry)
+	srcB, _, err := bundleBackend(srcDir, srcM.BundleLayout, nil, opts.Faults, opts.Retry)
 	if err != nil {
 		return st, err
 	}
@@ -169,9 +166,9 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 		if err := json.Unmarshal(rawDst, &dstM); err != nil {
 			return st, fmt.Errorf("sdm: migrate: corrupt destination manifest: %w", err)
 		}
-		if dstM.Backend != opts.Backend {
+		if dstM.Backend != l.Backend {
 			return st, fmt.Errorf("sdm: migrate: destination bundle is %q, asked for %q — use a fresh directory",
-				dstM.Backend, opts.Backend)
+				dstM.Backend, l.Backend)
 		}
 		dstCat, err := os.ReadFile(filepath.Join(dstDir, bundleCatalogName))
 		if err != nil {
@@ -202,18 +199,6 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	// lacks or holds at the wrong size (a GC'd or corrupt tier must
 	// heal on the next migration).
 	plan := make([]bundlePlanEntry, 0, len(srcM.Files))
-	m := bundleManifest{
-		Format:    1,
-		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Backend:   opts.Backend,
-		Compress:  opts.Compress,
-		ChunkSize: opts.ChunkSize,
-		Files:     srcM.Files,
-	}
-	if opts.Backend == "obj" {
-		m.Endpoint = bundleEndpoint(dstDir, opts.Endpoint)
-		m.PartSize = opts.PartSize
-	}
 	for _, f := range srcM.Files {
 		sz, have := dstSizes[f.Name]
 		if !copyAll && have && sz == f.Size && !changed[f.Name] {
@@ -230,19 +215,13 @@ func MigrateBundle(srcDir, dstDir string, opts BundleOptions) (MigrateStats, err
 	}
 	st.Files = len(srcM.Files)
 
-	manifestJSON, err := json.MarshalIndent(&m, "", " ")
-	if err != nil {
-		return st, err
-	}
-	manifestJSON = append(manifestJSON, '\n')
-
-	dstB, svc, err := bundleBackend(dstDir, opts.spec(), opts.Faults, opts.Retry)
+	dstB, svc, err := bundleBackend(dstDir, l, opts.ObjCost, opts.Faults, opts.Retry)
 	if err != nil {
 		return st, err
 	}
 	dstB = meterBackend(dstB, opts.Metrics)
 	registerObjstoreMetrics(opts.Metrics, svc)
-	if err := writeBundleWAL(dstDir, dstB, plan, catBytes, manifestJSON, &opts); err != nil {
+	if err := writeBundleWAL(dstDir, dstB, l, srcM.Files, plan, catBytes, &opts); err != nil {
 		return st, err
 	}
 	if r := opts.Metrics; r != nil {

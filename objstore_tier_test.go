@@ -29,6 +29,12 @@ import (
 // bytes in host time plus the remote's own timeline, never a rank
 // clock.
 
+// objEndpoint is the derived endpoint of an "obj" bundle in dir.
+func objEndpoint(dir string) string {
+	opts := BundleOptions{Backend: "obj"}
+	return opts.layout(dir).Endpoint
+}
+
 // TestBundleCrashMatrixObj walks the WAL-boundary kill matrix with the
 // object-store backend. PartSize 700 forces every crash fixture file
 // through the multipart path, so staged parts, conditional completes,
@@ -52,7 +58,7 @@ func TestObjstoreCrashRequestMatrix(t *testing.T) {
 		if err := crashCluster(t, oldFiles, "old").SaveBundleOpts(dir, opts); err != nil {
 			t.Fatalf("request %d: seeding old bundle: %v", k, err)
 		}
-		svc := objstore.Dial(bundleEndpoint(dir, ""))
+		svc := objstore.Dial(objEndpoint(dir))
 		svc.CrashAfter(int64(k))
 		err := crashCluster(t, newFiles, "new").SaveBundleOpts(dir, opts)
 		svc.Revive()
@@ -299,7 +305,7 @@ func TestMigrateBundleRandomizedFaults(t *testing.T) {
 		// reply-lost part uploads).
 		faults := &FaultConfig{Seed: int64(100 + round), Transient: 0.08, TornWrite: 0.1, PartialRead: 0.1}
 		retry := &RetryPolicy{MaxAttempts: 30, Seed: int64(round), Sleep: noSleep}
-		svc := objstore.Dial(bundleEndpoint(cold, ""))
+		svc := objstore.Dial(objEndpoint(cold))
 		svc.SetFaults(0.05, int64(round+7))
 
 		objOpts := BundleOptions{
@@ -382,7 +388,11 @@ func tierReadWorkload(t *testing.T, dir string, procs, globalN, steps int) tierR
 		var vals []float64
 		for ts := 0; ts < steps; ts++ {
 			for _, ds := range []string{"pressure", "velocity"} {
-				got, err := g.ReadFloat64s(ds, int64(ts), len(mapArr))
+				got := make([]float64, len(mapArr))
+				d, err := DatasetOf[float64](g, ds)
+				if err == nil {
+					err = d.GetAt(int64(ts), got)
+				}
 				if err != nil {
 					t.Errorf("read %s@%d: %v", ds, ts, err)
 					return
@@ -428,7 +438,7 @@ func TestBundleTieringSimCostNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The bytes did move through the priced remote…
-	svc := objstore.Dial(bundleEndpoint(cold, ""))
+	svc := objstore.Dial(objEndpoint(cold))
 	if st := svc.Stats(); st.RemoteTime <= 0 || st.BytesIn == 0 {
 		t.Fatalf("migration accrued nothing on the remote's own timeline: %+v", st)
 	}
@@ -463,7 +473,7 @@ func TestObjstoreBundlePromotionServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := objstore.Dial(bundleEndpoint(dir, ""))
+	svc := objstore.Dial(objEndpoint(dir))
 	srv := server.New(server.Config{BlockSize: 64 << 10})
 	if err := srv.Mount("bundle", server.Source{Catalog: cl.Catalog, FS: cl.FS}); err != nil {
 		t.Fatal(err)

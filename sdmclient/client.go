@@ -37,12 +37,14 @@ var (
 	// the address is wrong, or the network ate the connection.
 	ErrUnreachable = errors.New("sdmd unreachable")
 	// ErrNotFound maps HTTP 404: the run, dataset, timestep, bundle,
-	// or session does not exist on a perfectly healthy daemon.
-	ErrNotFound = errors.New("not found")
+	// or session does not exist on a perfectly healthy daemon. It is
+	// wire.ErrNotFound, so it also matches a local server.Source's
+	// not-found errors.
+	ErrNotFound = wire.ErrNotFound
 	// ErrBadRequest maps HTTP 400.
-	ErrBadRequest = errors.New("bad request")
+	ErrBadRequest = wire.ErrBadRequest
 	// ErrRange maps HTTP 416: a read outside the dataset's bounds.
-	ErrRange = errors.New("range not satisfiable")
+	ErrRange = wire.ErrRange
 )
 
 // Client talks to one sdmd daemon.
