@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"sdm/internal/catalog"
@@ -687,6 +690,103 @@ func TestHistoryIgnoredForDifferentNprocs(t *testing.T) {
 	}
 	if !run(4) {
 		t.Fatal("second 4-rank run ignored its history")
+	}
+}
+
+func TestCorruptHistoryRejected(t *testing.T) {
+	const nRanks = 3
+	te := newTestEnv(nRanks)
+	m, layout := stageMesh(t, te.fs, 2, 3, 2)
+	partVec := make([]int32, m.NumNodes())
+	for i := range partVec {
+		partVec[i] = int32((i * 5) % nRanks)
+	}
+	var hist string
+	var first [nRanks]*IndexPartition
+	te.run(t, Options{}, func(s *SDM) {
+		imp, _ := s.MakeImportlist("uns3d.msh", edgeSpecs(layout))
+		ip, err := s.PartitionIndex(imp, "edge1", "edge2", partVec)
+		if err != nil {
+			panic(err)
+		}
+		first[s.Comm().Rank()] = ip
+		if err := s.IndexRegistry(ip, layout.NumEdges, partVec); err != nil {
+			panic(err)
+		}
+		hist = s.historyFileName(layout.NumEdges)
+	})
+	orig, err := te.fs.ReadFile(hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// replay partitions from the history and returns each rank's error.
+	replay := func(pv []int32) (parts [nRanks]*IndexPartition, errs [nRanks]error) {
+		te.run(t, Options{}, func(s *SDM) {
+			imp, _ := s.MakeImportlist("uns3d.msh", edgeSpecs(layout))
+			r := s.Comm().Rank()
+			parts[r], errs[r] = s.PartitionIndex(imp, "edge1", "edge2", pv)
+		})
+		return parts, errs
+	}
+	wantErr := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("history %q", hist)) {
+			t.Fatalf("got %v, want an error naming history %q", err, hist)
+		}
+	}
+
+	// Record 0 is rank 0's first edge: gid, u, v as int32s.
+	nNodes, nEdges := int32(m.NumNodes()), int32(layout.NumEdges)
+	for _, c := range []struct {
+		field int
+		val   int32
+	}{{0, -1}, {0, nEdges}, {1, -1}, {1, nNodes}, {2, -7}, {2, nNodes + 100}} {
+		bad := bytes.Clone(orig)
+		binary.LittleEndian.PutUint32(bad[4*c.field:], uint32(c.val))
+		if err := te.fs.WriteFile(hist, bad); err != nil {
+			t.Fatal(err)
+		}
+		parts, errs := replay(partVec)
+		wantErr(errs[0])
+		for r := 1; r < nRanks; r++ {
+			if errs[r] != nil || !parts[r].FromHistory || !reflect.DeepEqual(parts[r].Nodes, first[r].Nodes) {
+				t.Fatalf("field %d = %d: rank %d got %v, want its untouched history", c.field, c.val, r, errs[r])
+			}
+		}
+	}
+	if err := te.fs.WriteFile(hist, orig); err != nil {
+		t.Fatal(err)
+	}
+
+	// A partitioning vector of another mesh must not reuse the history.
+	_, errs := replay(append(slices.Clone(partVec), 0))
+	for _, err := range errs {
+		wantErr(err)
+	}
+	// The intact history still replays.
+	parts, errs := replay(partVec)
+	for r := range parts {
+		if errs[r] != nil || !parts[r].FromHistory || !reflect.DeepEqual(parts[r].Edge1L, first[r].Edge1L) {
+			t.Fatalf("rank %d: intact history replay: %v", r, errs[r])
+		}
+	}
+
+	// A catalog entry with a negative per-rank edge count is rejected
+	// before any rank sizes a read from it.
+	h, err := te.cat.LookupIndexHistory(nil, layout.NumEdges, nRanks)
+	if err != nil || h == nil {
+		t.Fatalf("lookup: %v %v", h, err)
+	}
+	h.EdgeSizes[nRanks-1] = -3
+	if err := te.cat.DeleteIndexHistory(nil, hist); err != nil {
+		t.Fatal(err)
+	}
+	if err := te.cat.RegisterIndexHistory(nil, *h); err != nil {
+		t.Fatal(err)
+	}
+	_, errs = replay(partVec)
+	for _, err := range errs {
+		wantErr(err)
 	}
 }
 

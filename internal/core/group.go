@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpiio"
@@ -247,6 +247,7 @@ func (g *Group) Attr(name string) (Attr, error) {
 type View struct {
 	mapArr   []int32
 	perm     []int32 // perm[i] = local index of the i-th smallest global index
+	identity bool    // mapArr is ascending, so perm[i] == i
 	dtype    *mpiio.Datatype
 	elemSize int64
 	globalN  int64
@@ -295,10 +296,24 @@ func NewView(mapArr []int32, t DataType, globalSize int64) (*View, error) {
 
 func newView(mapArr []int32, elemSize, globalN int64) (*View, error) {
 	perm := make([]int32, len(mapArr))
-	for i := range perm {
-		perm[i] = int32(i)
+	identity := slices.IsSorted(mapArr)
+	if identity {
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+	} else {
+		// Sort (global index, local index) pairs packed into one word:
+		// flipping the sign bit keeps int32 order in the high half, and
+		// distinct global indices make the order, hence perm, unique.
+		keys := make([]uint64, len(mapArr))
+		for i, g := range mapArr {
+			keys[i] = uint64(uint32(g)^0x80000000)<<32 | uint64(i)
+		}
+		slices.Sort(keys)
+		for i, k := range keys {
+			perm[i] = int32(uint32(k))
+		}
 	}
-	sort.Slice(perm, func(a, b int) bool { return mapArr[perm[a]] < mapArr[perm[b]] })
 	displs := make([]int, len(mapArr))
 	for i, p := range perm {
 		gidx := mapArr[p]
@@ -315,6 +330,7 @@ func newView(mapArr []int32, elemSize, globalN int64) (*View, error) {
 	return &View{
 		mapArr:   mapArr,
 		perm:     perm,
+		identity: identity,
 		dtype:    dtype,
 		elemSize: elemSize,
 		globalN:  globalN,

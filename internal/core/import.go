@@ -29,6 +29,9 @@ type Importer struct {
 	specs    map[string]ImportSpec
 	file     *mpiio.File
 	released bool
+	// fileOrder is ImportView's reusable file-order buffer for views
+	// that permute.
+	fileOrder []byte
 }
 
 // MakeImportlist registers the arrays of an external file in
@@ -152,14 +155,21 @@ func (imp *Importer) ImportView(name string, v *View) ([]byte, error) {
 			v.globalN, name, sp.Length)
 	}
 	imp.file.SetView(sp.FileOffset, v.dtype)
-	fileOrder := make([]byte, int64(v.LocalSize())*v.elemSize)
-	if err := imp.file.ReadAtAll(0, fileOrder); err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(fileOrder))
-	es := v.elemSize
-	for i, p := range v.perm {
-		copy(out[int64(p)*es:(int64(p)+1)*es], fileOrder[int64(i)*es:(int64(i)+1)*es])
+	out := make([]byte, int64(v.LocalSize())*v.elemSize)
+	if v.identity {
+		// File order is map-array order: read straight into the result.
+		if err := imp.file.ReadAtAll(0, out); err != nil {
+			return nil, err
+		}
+	} else {
+		if cap(imp.fileOrder) < len(out) {
+			imp.fileOrder = make([]byte, len(out))
+		}
+		fileOrder := imp.fileOrder[:len(out)]
+		if err := imp.file.ReadAtAll(0, fileOrder); err != nil {
+			return nil, err
+		}
+		permuteBytesFromFile(v, fileOrder, out)
 	}
 	imp.s.env.Comm.ComputeItems(int64(len(out)), imp.s.opts.MemCopyRate)
 	return out, nil
@@ -181,6 +191,7 @@ func (imp *Importer) Release() error {
 		return nil
 	}
 	imp.released = true
+	imp.fileOrder = nil
 	if err := imp.file.Close(); err != nil {
 		return err
 	}

@@ -92,7 +92,7 @@ func OriginalImportAndPartition(s *SDM, fileName string, edge1Off, edge2Off int6
 	}
 	c.ComputeItems(totalEdges, s.opts.EdgeScanRate)
 
-	ip := s.buildPartition(keptG, kept1, kept2, partVec)
+	ip := s.buildPartition(keptG, kept1, kept2, ownedSet(partVec, me))
 	return &OriginalPartitionResult{
 		Partition:      ip,
 		ImportTime:     t1.Sub(t0),

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"sdm/internal/catalog"
 	"sdm/internal/mpi"
@@ -165,12 +166,15 @@ func (s *SDM) distributeIndex(block1, block2 []int32, start, totalEdges int64, p
 	p := c.Size()
 	me := int32(c.Rank())
 
+	// mine marks the nodes this rank owns: the scan tests it, and
+	// buildPartition reuses it.
+	mine := ownedSet(partVec, me)
 	var keptG []int32
 	var kept1, kept2 []int32
 	scan := func(b1, b2 []int32, base int64) {
 		for e := range b1 {
 			u, v := b1[e], b2[e]
-			if partVec[u] == me || partVec[v] == me {
+			if mine.has(u) || mine.has(v) {
 				keptG = append(keptG, int32(base)+int32(e))
 				kept1 = append(kept1, u)
 				kept2 = append(kept2, v)
@@ -196,45 +200,86 @@ func (s *SDM) distributeIndex(block1, block2 []int32, start, totalEdges int64, p
 		scan(cur1, cur2, base)
 	}
 
-	ip := s.buildPartition(keptG, kept1, kept2, partVec)
+	return s.buildPartition(keptG, kept1, kept2, mine)
+}
+
+// nodeSet is a bitmap over global node ids.
+type nodeSet []uint64
+
+// ownedSet marks the nodes the partitioning vector assigns to rank me.
+func ownedSet(partVec []int32, me int32) nodeSet {
+	set := make(nodeSet, (len(partVec)+63)/64)
+	for node, r := range partVec {
+		if r == me {
+			set.add(int32(node))
+		}
+	}
+	return set
+}
+
+func (set nodeSet) add(node int32) { set[node>>6] |= 1 << (node & 63) }
+
+func (set nodeSet) has(node int32) bool { return set[node>>6]&(1<<(node&63)) != 0 }
+
+// buildPartition derives node sets and localized edges from the kept
+// edge list and charges that local pass. mine marks the nodes this
+// rank owns (ownedSet).
+func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, mine nodeSet) *IndexPartition {
+	ip := partitionNodes(keptG, kept1, kept2, mine)
+	s.env.Comm.ComputeItems(int64(len(kept1)+len(ip.Nodes)), s.opts.EdgeScanRate)
 	return ip
 }
 
-// buildPartition derives node sets and localized edges from the kept
-// edge list.
-func (s *SDM) buildPartition(keptG, kept1, kept2 []int32, partVec []int32) *IndexPartition {
-	me := int32(s.env.Comm.Rank())
-	present := make(map[int32]bool, len(kept1)*2)
+// partitionNodes is buildPartition's host kernel. The node set is a
+// bitmap holding the owned nodes (a rank can own isolated nodes that
+// no local edge touches) plus every kept endpoint, so walking it yields
+// Nodes already ascending, and a node's local index is the number of
+// set bits below it: a per-word prefix count plus one popcount. Every
+// endpoint must lie inside the bitmap.
+func partitionNodes(keptG, kept1, kept2 []int32, mine nodeSet) *IndexPartition {
+	set := slices.Clone(mine)
+	nOwned := 0
+	for _, w := range mine {
+		nOwned += bits.OnesCount64(w)
+	}
 	for i := range kept1 {
-		present[kept1[i]] = true
-		present[kept2[i]] = true
+		set.add(kept1[i])
+		set.add(kept2[i])
 	}
-	// Owned nodes come from the partitioning vector; a rank can own
-	// isolated nodes that no local edge touches.
-	var nodes []int32
-	for node, r := range partVec {
-		if r == me || present[int32(node)] {
-			nodes = append(nodes, int32(node))
+	// below[k] counts the set bits in words [0, k).
+	below := make([]int32, len(set)+1)
+	for k, w := range set {
+		below[k+1] = below[k] + int32(bits.OnesCount64(w))
+	}
+	total := int(below[len(set)])
+	var nodes, ownedNodes []int32
+	if total > 0 {
+		nodes = make([]int32, 0, total)
+	}
+	if nOwned > 0 {
+		ownedNodes = make([]int32, 0, nOwned)
+	}
+	owned := make([]bool, total)
+	for k, w := range set {
+		for w != 0 {
+			n := int32(k<<6 + bits.TrailingZeros64(w))
+			w &= w - 1
+			if mine.has(n) {
+				owned[len(nodes)] = true
+				ownedNodes = append(ownedNodes, n)
+			}
+			nodes = append(nodes, n)
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	owned := make([]bool, len(nodes))
-	var ownedNodes []int32
-	g2l := make(map[int32]int32, len(nodes))
-	for i, n := range nodes {
-		g2l[n] = int32(i)
-		owned[i] = partVec[n] == me
-		if owned[i] {
-			ownedNodes = append(ownedNodes, n)
-		}
+	local := func(n int32) int32 {
+		return below[n>>6] + int32(bits.OnesCount64(set[n>>6]&(1<<(n&63)-1)))
 	}
 	e1l := make([]int32, len(kept1))
 	e2l := make([]int32, len(kept2))
 	for i := range kept1 {
-		e1l[i] = g2l[kept1[i]]
-		e2l[i] = g2l[kept2[i]]
+		e1l[i] = local(kept1[i])
+		e2l[i] = local(kept2[i])
 	}
-	s.env.Comm.ComputeItems(int64(len(kept1)+len(nodes)), s.opts.EdgeScanRate)
 	return &IndexPartition{
 		EdgeGlobal: keptG,
 		Edge1G:     kept1,
@@ -314,9 +359,20 @@ func (s *SDM) IndexRegistry(ip *IndexPartition, totalEdges int64, partVec []int3
 func (s *SDM) loadIndexHistory(hist *catalog.IndexHistory, partVec []int32) (*IndexPartition, error) {
 	c := s.env.Comm
 	t0 := c.Now()
+	// The history and the partitioning vector are replicated, so every
+	// rank takes the same branch here.
+	if hist.NumNodes != int64(len(partVec)) {
+		return nil, fmt.Errorf("core: history %q covers %d nodes, partitioning vector has %d",
+			hist.FileName, hist.NumNodes, len(partVec))
+	}
 	var myOff int64
-	for r := 0; r < c.Rank(); r++ {
-		myOff += hist.EdgeSizes[r]
+	for r, n := range hist.EdgeSizes {
+		if n < 0 {
+			return nil, fmt.Errorf("core: history %q: rank %d has negative edge count %d", hist.FileName, r, n)
+		}
+		if r < c.Rank() {
+			myOff += n
+		}
 	}
 	myEdges := hist.EdgeSizes[c.Rank()]
 	h, err := mpiio.Open(c, s.env.FS, hist.FileName, pfs.ReadOnly, s.opts.Hints)
@@ -334,12 +390,16 @@ func (s *SDM) loadIndexHistory(hist *catalog.IndexHistory, partVec []int32) (*In
 	keptG := make([]int32, myEdges)
 	kept1 := make([]int32, myEdges)
 	kept2 := make([]int32, myEdges)
+	nNodes := int32(len(partVec))
 	for i := int64(0); i < myEdges; i++ {
-		keptG[i] = rec[i*3]
-		kept1[i] = rec[i*3+1]
-		kept2[i] = rec[i*3+2]
+		gid, u, v := rec[i*3], rec[i*3+1], rec[i*3+2]
+		if gid < 0 || int64(gid) >= hist.ProblemSize || u < 0 || u >= nNodes || v < 0 || v >= nNodes {
+			return nil, fmt.Errorf("core: history %q: record %d (edge %d: %d-%d) outside %d edges, %d nodes",
+				hist.FileName, myOff+i, gid, u, v, hist.ProblemSize, nNodes)
+		}
+		keptG[i], kept1[i], kept2[i] = gid, u, v
 	}
-	ip := s.buildPartition(keptG, kept1, kept2, partVec)
+	ip := s.buildPartition(keptG, kept1, kept2, ownedSet(partVec, int32(c.Rank())))
 	ip.FromHistory = true
 	ip.DistributeTime = c.Now().Sub(t0)
 	return ip, nil

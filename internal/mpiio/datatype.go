@@ -13,7 +13,9 @@
 package mpiio
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sdm/internal/pfs"
@@ -50,10 +52,11 @@ func (d *Datatype) Segments() []Segment {
 	return out
 }
 
-// newDatatype normalizes segments: sorts, validates non-overlap,
-// coalesces adjacency, and builds the prefix table.
+// newDatatype normalizes segments in place (it takes ownership of
+// segs): drops empty ones, sorts unless already ascending, validates
+// non-overlap, coalesces adjacency, and builds the prefix table.
 func newDatatype(segs []Segment, extent int64) *Datatype {
-	sorted := make([]Segment, 0, len(segs))
+	kept := segs[:0]
 	for _, s := range segs {
 		if s.Len < 0 {
 			panic(fmt.Sprintf("mpiio: negative segment length %d", s.Len))
@@ -64,11 +67,14 @@ func newDatatype(segs []Segment, extent int64) *Datatype {
 		if s.Off < 0 {
 			panic(fmt.Sprintf("mpiio: negative segment offset %d", s.Off))
 		}
-		sorted = append(sorted, s)
+		kept = append(kept, s)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Off < sorted[j].Off })
-	coalesced := make([]Segment, 0, len(sorted))
-	for _, s := range sorted {
+	byOff := func(a, b Segment) int { return cmp.Compare(a.Off, b.Off) }
+	if !slices.IsSortedFunc(kept, byOff) {
+		slices.SortFunc(kept, byOff)
+	}
+	coalesced := kept[:0]
+	for _, s := range kept {
 		if n := len(coalesced); n > 0 {
 			last := &coalesced[n-1]
 			if s.Off < last.Off+last.Len {
@@ -81,6 +87,11 @@ func newDatatype(segs []Segment, extent int64) *Datatype {
 		}
 		coalesced = append(coalesced, s)
 	}
+	// A type can live as long as a view does: do not keep the input's
+	// backing array when coalescing shortened it.
+	if len(coalesced) < cap(coalesced) {
+		coalesced = slices.Clone(coalesced)
+	}
 	var size int64
 	prefix := make([]int64, len(coalesced)+1)
 	for i, s := range coalesced {
@@ -88,13 +99,15 @@ func newDatatype(segs []Segment, extent int64) *Datatype {
 		size += s.Len
 	}
 	prefix[len(coalesced)] = size
-	if len(coalesced) > 0 {
-		last := coalesced[len(coalesced)-1]
-		if minExtent := last.Off + last.Len; extent < minExtent {
-			extent = minExtent
-		}
+	return &Datatype{segs: coalesced, prefix: prefix, size: size, extent: fitExtent(coalesced, extent)}
+}
+
+// fitExtent widens extent to the end of the last segment if needed.
+func fitExtent(segs []Segment, extent int64) int64 {
+	if n := len(segs); n > 0 {
+		extent = max(extent, segs[n-1].Off+segs[n-1].Len)
 	}
-	return &Datatype{segs: coalesced, prefix: prefix, size: size, extent: extent}
+	return extent
 }
 
 // Bytes returns a contiguous type of n bytes.
@@ -161,30 +174,31 @@ func Indexed(blocklens, displs []int, old *Datatype) *Datatype {
 	if len(blocklens) != len(displs) {
 		panic(fmt.Sprintf("mpiio: Indexed with %d blocklens, %d displs", len(blocklens), len(displs)))
 	}
-	segs := make([]Segment, 0, len(displs)*len(old.segs))
-	extent := int64(0)
-	for k, disp := range displs {
-		for j := 0; j < blocklens[k]; j++ {
-			base := int64(disp+j) * old.extent
-			for _, s := range old.segs {
-				segs = append(segs, Segment{Off: base + s.Off, Len: s.Len})
-			}
-		}
-		if e := int64(disp+blocklens[k]) * old.extent; e > extent {
-			extent = e
-		}
-	}
-	return newDatatype(segs, extent)
+	return indexed(displs, func(k int) int { return blocklens[k] }, old)
 }
 
 // IndexedBlock is Indexed with a constant block length
 // (MPI_Type_create_indexed_block), the common map-array case.
 func IndexedBlock(blocklen int, displs []int, old *Datatype) *Datatype {
-	lens := make([]int, len(displs))
-	for i := range lens {
-		lens[i] = blocklen
+	return indexed(displs, func(int) int { return blocklen }, old)
+}
+
+func indexed(displs []int, blocklen func(k int) int, old *Datatype) *Datatype {
+	segs := make([]Segment, 0, len(displs)*len(old.segs))
+	extent := int64(0)
+	for k, disp := range displs {
+		n := blocklen(k)
+		for j := 0; j < n; j++ {
+			base := int64(disp+j) * old.extent
+			for _, s := range old.segs {
+				segs = append(segs, Segment{Off: base + s.Off, Len: s.Len})
+			}
+		}
+		if e := int64(disp+n) * old.extent; e > extent {
+			extent = e
+		}
 	}
-	return Indexed(lens, displs, old)
+	return newDatatype(segs, extent)
 }
 
 // Hindexed places blocks at byte displacements
@@ -237,9 +251,11 @@ func StructType(blocklens []int, displs []int64, types []*Datatype) *Datatype {
 // the extent becomes the full global array size so consecutive logical
 // slabs land in consecutive global slabs.
 func Resized(old *Datatype, extent int64) *Datatype {
-	segs := make([]Segment, len(old.segs))
-	copy(segs, old.segs)
-	return newDatatype(segs, extent)
+	// A type's segments and prefix table are never modified after
+	// construction, so the resized type shares them.
+	r := *old
+	r.extent = fitExtent(old.segs, extent)
+	return &r
 }
 
 // Subarray describes a row-major subarray of a larger array

@@ -67,6 +67,26 @@ func TestIndexedAdjacentCoalesce(t *testing.T) {
 	}
 }
 
+func TestResized(t *testing.T) {
+	old := IndexedBlock(1, []int{7, 2, 5}, Bytes(8))
+	want := segsOf(old)
+	r := Resized(old, 1000)
+	if r.Extent() != 1000 || r.Size() != old.Size() || !reflect.DeepEqual(segsOf(r), want) {
+		t.Fatalf("resized: extent=%d size=%d segs=%v", r.Extent(), r.Size(), segsOf(r))
+	}
+	// The resized type shares old's segments; old must not change.
+	if old.Extent() != 64 || !reflect.DeepEqual(segsOf(old), want) {
+		t.Fatalf("old changed: extent=%d segs=%v", old.Extent(), segsOf(old))
+	}
+	// An extent shorter than the data widens to cover it.
+	if got := Resized(old, 10).Extent(); got != 64 {
+		t.Fatalf("short extent = %d, want 64", got)
+	}
+	if got := r.mapRange(0, 24, 8); !reflect.DeepEqual(got, []Segment{{Off: 1016, Len: 8}}) {
+		t.Fatalf("second tile segs = %v", got)
+	}
+}
+
 func TestIndexedVariableBlocks(t *testing.T) {
 	d := Indexed([]int{2, 1}, []int{0, 4}, Bytes(4))
 	want := []Segment{{Off: 0, Len: 8}, {Off: 16, Len: 4}}
